@@ -1,3 +1,13 @@
 """IH-ViT: hybrid CNN + dual-channel ViT defect classifier toolkit."""
 
+import os
+
+# Concurrency comes from IHVIT_THREADS (one thread per model branch, one per
+# generated image); BLAS threads on top would compete for the same cores,
+# and results would depend on the BLAS thread count.  A value set in the
+# environment still wins; it only takes effect before numpy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 __version__ = "0.1.0"

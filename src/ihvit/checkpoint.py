@@ -77,6 +77,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     expected = 0
     last = -1
     for e in entries:
+        _check_entry(path, e)
         if e["offset"] <= last:
             raise FormatError(
                 f"{path}: tensor offsets not strictly increasing at {e['name']!r}",
@@ -102,3 +103,14 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         raw = payload[e["offset"]:e["offset"] + size]
         params[e["name"]] = np.frombuffer(raw, dtype="<f4").reshape(e["shape"]).copy()
     return params, header.get("config", {})
+
+
+def _check_entry(path, e) -> None:
+    """A tensor entry needs a string name, a list of sizes and an integer offset."""
+    # bool is a subclass of int, so it is ruled out by type, not isinstance
+    ok = (isinstance(e, dict) and isinstance(e.get("name"), str)
+          and isinstance(e.get("shape"), list)
+          and all(type(d) is int and d >= 0 for d in e["shape"])
+          and type(e.get("offset")) is int)
+    if not ok:
+        raise FormatError(f"{path}: malformed tensor entry {e!r:.80}", offset=16)

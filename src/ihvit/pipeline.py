@@ -92,13 +92,28 @@ class ManifestEntry:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ManifestEntry":
+        if not isinstance(obj, dict):
+            raise FormatError(f"manifest entry must be an object, got {obj!r:.60}")
+        where = f"manifest entry {obj.get('path')!r:.60}"
         return cls(
-            path=obj["path"],
-            label=int(obj["label"]),
-            defect_free=bool(obj["defect_free"]),
-            split=obj.get("split", "none"),
-            origin=obj.get("origin", "original"),
+            path=_field(obj, "path", str, where),
+            label=_field(obj, "label", int, where),
+            defect_free=_field(obj, "defect_free", bool, where),
+            split=_field(obj, "split", str, where, "none"),
+            origin=_field(obj, "origin", str, where, "original"),
         )
+
+
+def _field(obj: dict, key: str, kind: type, where: str, default=None):
+    """``obj[key]``, or ``default`` when it is absent and not None; a missing
+    or mistyped value is a FormatError."""
+    if key not in obj and default is not None:
+        return default
+    value = obj.get(key)
+    # bool is a subclass of int, but neither stands in for the other here
+    if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+        raise FormatError(f"{where}: field {key!r} must be {kind.__name__}, got {value!r:.60}")
+    return value
 
 
 @dataclass
@@ -141,11 +156,13 @@ class Manifest:
     @classmethod
     def load(cls, path) -> "Manifest":
         obj = json.loads(Path(path).read_text())
+        if not isinstance(obj, dict):
+            raise FormatError(f"{path}: manifest must be a JSON object")
         if obj.get("version") != MANIFEST_SCHEMA_VERSION:
             raise FormatError(f"unsupported manifest version {obj.get('version')!r}")
         return cls(
-            seed=int(obj["seed"]),
-            entries=[ManifestEntry.from_json(e) for e in obj["entries"]],
+            seed=_field(obj, "seed", int, str(path)),
+            entries=[ManifestEntry.from_json(e) for e in _field(obj, "entries", list, str(path))],
             version=obj["version"],
         )
 

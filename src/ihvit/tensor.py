@@ -183,10 +183,21 @@ class Tape:
         self._nodes.clear()
         self._spent = False
 
-    def backward(self, loss: Tensor) -> None:
-        """Reverse sweep from ``loss``; gradients sum over all paths."""
+    def backward(self, loss: Tensor, grad: np.ndarray | None = None) -> None:
+        """Reverse sweep from ``loss``; gradients sum over all paths.
+
+        The sweep starts from ``grad``, the gradient of the final objective
+        with respect to ``loss``, or from ones when it is not given.  A
+        loss that feeds a larger objective recorded on another tape takes
+        its ``.grad`` from that tape's backward pass as ``grad`` here.
+        """
         if loss.data.size != 1:
             raise UsageError(f"backward requires a scalar loss, got shape {loss.shape}")
+        if grad is None:
+            grad = np.ones_like(loss.data)
+        elif np.shape(grad) != loss.shape:
+            raise UsageError(f"backward: seed gradient shape {np.shape(grad)} != loss shape "
+                             f"{loss.shape}")
         if self._spent:
             raise UsageError("tape already consumed by a backward pass; reset() to reuse")
         produced = {id(n.out) for n in self._nodes}
@@ -194,7 +205,7 @@ class Tape:
             raise UsageError("loss tensor was not produced on this tape")
         self._spent = True
 
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        grads: dict[int, np.ndarray] = {id(loss): np.asarray(grad, dtype=loss.data.dtype)}
         holders: dict[int, Tensor] = {id(loss): loss}
         for node in reversed(self._nodes):
             g = grads.pop(id(node.out), None)
@@ -538,6 +549,12 @@ def conv_out_extent(extent: int, k: int, stride: int, pad: int) -> int:
     return (extent + 2 * pad - k) // stride + 1
 
 
+# im2col matrices are built for at most this many bytes of images at a
+# time (always at least one image), so a forward pass holds one chunk at
+# once unless a tape keeps the chunks for the weight gradient
+_IM2COL_BYTES = 4 << 20
+
+
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     win = win[:, :, ::stride, ::stride]
@@ -578,24 +595,37 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
             f"kernel {kh}x{kw}, stride {stride}, pad {pad}"
         )
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    cols = _im2col(xp, kh, kw, stride, oh, ow)
+    rows = oh * ow  # im2col rows per image
     wmat = w.data.reshape(o, -1)
-    out2 = cols @ wmat.T
-    if bias is not None:
-        out2 = out2 + bias.data
-    out = out2.reshape(n, oh, ow, o).transpose(0, 3, 1, 2)
-    assert out.shape[2] == conv_out_extent(h, kh, stride, pad)
-    assert out.shape[3] == conv_out_extent(wd, kw, stride, pad)
-
+    step = max(1, _IM2COL_BYTES // (rows * wmat.shape[1] * xp.itemsize))
+    chunks = range(0, n, step)
     nx, nw = x.requires_grad, w.requires_grad
+    keep = nw and _current_tape() is not None  # only the weight gradient reads the columns
+    kept = []
+    out2 = np.empty((n * rows, o), dtype=xp.dtype)
+    for b0 in chunks:
+        cols = _im2col(xp[b0:b0 + step], kh, kw, stride, oh, ow)
+        np.matmul(cols, wmat.T, out=out2[b0 * rows:(b0 + step) * rows])
+        if keep:
+            kept.append(cols)
+    if bias is not None:
+        out2 += bias.data
+    out = out2.reshape(n, oh, ow, o).transpose(0, 3, 1, 2)
 
     def bwd(g):
         g2 = g.transpose(0, 2, 3, 1).reshape(-1, o)
-        gw = (g2.T @ cols).reshape(w.shape) if nw else None
-        gx = None
+        gw = gx = None
+        if nw:
+            gw = np.zeros_like(wmat)
+            for b0, cols in zip(chunks, kept):
+                gw += g2[b0 * rows:(b0 + step) * rows].T @ cols
+            gw = gw.reshape(w.shape)
         if nx:
-            gcols = g2 @ wmat
-            gx = _col2im(gcols, n, c, h, wd, kh, kw, stride, pad, oh, ow)
+            gx = np.empty(x.shape, dtype=g.dtype)
+            for b0 in chunks:
+                gcols = g2[b0 * rows:(b0 + step) * rows] @ wmat
+                gx[b0:b0 + step] = _col2im(gcols, len(gcols) // rows, c, h, wd,
+                                           kh, kw, stride, pad, oh, ow)
         if bias is None:
             return gx, gw
         return gx, gw, g2.sum(axis=0)
@@ -628,7 +658,6 @@ def maxpool2d(x: Tensor, k: int, stride: int | None = None, pad: int = 0) -> Ten
     win = win[:, :, ::stride, ::stride].reshape(n, c, oh, ow, k * k)
     am = win.argmax(axis=-1)
     out = np.take_along_axis(win, am[..., None], axis=-1)[..., 0]
-    assert out.shape == (n, c, oh, ow)
 
     def bwd(g):
         # route each window's gradient to its argmax cell, one (i, j) offset

@@ -10,6 +10,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from .errors import ConfigError, InputError
 from .pipeline import Manifest, read_ppm, _resize_array
 from .resnet import ResNetBranch, ResNetConfig
 from .tensor import Tape, Tensor, NumericsError, UsageError, cross_entropy
+from .util import run_all
 from .vit import ChannelSpec, ViTBranch, ViTConfig
 
 ARM_ORDER = ("resnet", "vit", "vit-conv", "vit-2ch", "ih-vit")
@@ -225,13 +227,32 @@ class Arm:
             out.update({f"vit.{k}": v for k, v in self.vit.params.items()})
         return out
 
-    def branch_logits(self, images: Tensor) -> dict[str, Tensor]:
-        out = {}
-        if self.resnet is not None:
-            out["resnet"], _ = self.resnet.forward(images)
-        if self.vit is not None:
-            out["vit"], _ = self.vit.forward(images)
-        return out
+    def branch_logits(self, images: Tensor, tapes: list[Tape] | None = None) -> dict[str, Tensor]:
+        """Logits per active branch.
+
+        With ``tapes``, branch *k* records onto ``tapes[k]`` and the
+        branches run concurrently (see :func:`run_all`; the ViT branch, the
+        longer one, stays on the calling thread).  Without ``tapes`` they
+        record onto the caller's tape, if any; as one tape takes nodes from
+        one thread only, they then run one after the other.
+        """
+        branches = {k: b for k, b in (("resnet", self.resnet), ("vit", self.vit))
+                    if b is not None}
+        if tapes is None:
+            if T._current_tape() is not None:
+                return {k: b.forward(images)[0] for k, b in branches.items()}
+            tapes = [None] * len(branches)
+        elif len(tapes) != len(branches):
+            raise UsageError(f"branch_logits: {len(branches)} branches but {len(tapes)} tapes")
+
+        def forward(branch, tape):
+            if tape is None:
+                return branch.forward(images)[0]
+            with tape:
+                return branch.forward(images)[0]
+
+        logits = run_all([partial(forward, b, t) for b, t in zip(branches.values(), tapes)])
+        return dict(zip(branches, logits))
 
     def branch_weights(self) -> list[float]:
         out = []
@@ -244,7 +265,7 @@ class Arm:
     def predict_probs(self, images: Tensor) -> np.ndarray:
         """Fused (or single-branch) class probabilities, [B, K]."""
         logits = self.branch_logits(images)
-        probs = {k: _softmax_np(v.data) for k, v in logits.items()}
+        probs = {k: T.softmax(v, axis=-1).data for k, v in logits.items()}
         if len(probs) == 2:
             fused, _ = decision_fuse(probs["resnet"], probs["vit"], self.fusion)
             return fused
@@ -257,11 +278,6 @@ class Arm:
             "vit": asdict(self.vit.config) if self.vit else None,
             "fusion": asdict(self.fusion),
         }
-
-
-def _softmax_np(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _arm_vit_config(name: str, base: ViTConfig) -> ViTConfig:
@@ -460,6 +476,28 @@ def _class_weights(labels: np.ndarray, classes: int) -> np.ndarray:
     return w
 
 
+def _forward_backward(arm: Arm, x: Tensor, y: np.ndarray, weights: list[float],
+                      cw: np.ndarray | None) -> float:
+    """One step's combined loss; leaves the gradients in the parameters' .grad.
+
+    Each branch records onto a tape of its own, so the branches' forward and
+    backward passes can run concurrently.  The combined loss gets a small
+    tape too, whose backward pass seeds each branch loss's .grad.  The tapes
+    hold every activation, so they go when this returns.
+    """
+    tapes = [Tape() for _ in weights]
+    logits = arm.branch_logits(x, tapes)
+    losses = []
+    for tape, l in zip(tapes, logits.values()):
+        with tape:
+            losses.append(cross_entropy(l, y, class_weights=cw))
+    with Tape() as fuse_tape:
+        loss = combined_loss(losses, weights)
+    fuse_tape.backward(loss)
+    run_all([partial(tape.backward, l, l.grad) for tape, l in zip(tapes, losses)])
+    return loss.item()
+
+
 def train(arm: Arm, manifest: Manifest, base_dir, cfg: TrainConfig,
           log=None) -> MetricsReport:
     """Epoch loop: shuffle, batch forward on the active branches, combined
@@ -491,17 +529,12 @@ def train(arm: Arm, manifest: Manifest, base_dir, cfg: TrainConfig,
             x = _batch_tensor(train_x[idx])
             y = train_y[idx]
             try:
-                with Tape() as tape:
-                    logits = arm.branch_logits(x)
-                    losses = [cross_entropy(l, y, class_weights=cw)
-                              for l in logits.values()]
-                    loss = combined_loss(losses, weights)
-                tape.backward(loss)
+                loss = _forward_backward(arm, x, y, weights, cw)
             except NumericsError as e:
                 raise NumericsError(f"epoch {epoch} step {b}: {e}") from None
             lr = cosine_lr(step, total_steps, cfg.lr0, cfg.lr_min)
             adam.step(lr)
-            epoch_losses.append(loss.item())
+            epoch_losses.append(loss)
             step += 1
         acc, confusion = evaluate(arm, test_x, test_y,
                                   batch_size=cfg.eval_batch_size, classes=classes)

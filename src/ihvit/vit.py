@@ -159,12 +159,9 @@ def conv_block_embed(patches: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """
     if patches.ndim != 4:
         raise ShapeError(f"conv_block_embed: expected [M,3,P,P], got {patches.shape}")
-    p = patches.shape[-1]
     y = conv2d(patches, w, b, stride=2, pad=3)
-    assert y.shape[-1] == (p + 6 - 7) // 2 + 1
     y = relu(y)
     y = maxpool2d(y, 2, 2, 1)
-    assert y.shape[-1] == (patches.shape[-1] // 2) // 2 + 1
     return reshape(y, (patches.shape[0], -1))
 
 
@@ -172,9 +169,7 @@ def conv_only_embed(patches: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """conv(k7,s2,p3) -> relu -> flatten; 32 -> 16 spatial, width 768."""
     if patches.ndim != 4:
         raise ShapeError(f"conv_only_embed: expected [M,3,P,P], got {patches.shape}")
-    p = patches.shape[-1]
     y = conv2d(patches, w, b, stride=2, pad=3)
-    assert y.shape[-1] == (p + 6 - 7) // 2 + 1
     y = relu(y)
     return reshape(y, (patches.shape[0], -1))
 
@@ -305,7 +300,6 @@ class ViTBranch:
         else:
             raw = reshape(flat_patches, (bsz * n, ch.raw_dim))
         unified = unify(raw, self.params[f"ch{index}.unify"])
-        assert unified.shape == (bsz * n, cfg.dim)
         return reshape(unified, (bsz, n, cfg.dim))
 
     def forward(self, images: Tensor) -> tuple[Tensor, Tensor]:

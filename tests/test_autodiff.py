@@ -12,6 +12,8 @@ wrong rather than the code being wrong:
   have vanishing measure.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,40 @@ class TestTape:
             pass
         T.sum_(x)
         assert len(tape) == 0
+
+    def test_seed_gradient_scales_the_sweep(self):
+        x = Tensor(np.array([1.0, -2.0, 3.0]), dtype="f64", requires_grad=True)
+        with Tape() as tape:
+            loss = T.sum_(T.mul(x, x))
+        tape.backward(loss, np.asarray(-0.25))
+        assert np.array_equal(x.grad, -0.25 * 2 * x.data)
+
+    def test_seeded_tapes_match_one_tape(self):
+        # a loss split across tapes, its inner tape seeded from the outer
+        # tape's backward pass, gives the one-tape gradient bit for bit
+        rng = np.random.default_rng(4)
+        w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        x = Tensor(rng.normal(size=(4, 3)))
+        with Tape() as whole:
+            inner = T.cross_entropy(T.matmul(x, w), [0, 1, 1, 0])
+            total = combined_loss([inner], [0.7])
+        whole.backward(total)
+        want = w.grad
+        w.grad = None
+        with Tape() as inner_tape:
+            inner = T.cross_entropy(T.matmul(x, w), [0, 1, 1, 0])
+        with Tape() as outer_tape:
+            outer = combined_loss([inner], [0.7])
+        outer_tape.backward(outer)
+        inner_tape.backward(inner, inner.grad)
+        assert w.grad.tobytes() == want.tobytes()
+
+    def test_seed_shape_must_match_loss(self):
+        x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        with Tape() as tape:
+            loss = T.sum_(x)
+        with pytest.raises(UsageError, match="seed"):
+            tape.backward(loss, np.ones(3, dtype=np.float32))
 
     def test_nodes_topologically_ordered(self):
         x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
@@ -172,17 +208,17 @@ def mk_matmul_rhs(r, dt):
     return (lambda z: T.sum_(T.mul(T.matmul(a, z), c))), x
 
 
-def mk_conv_x(r, dt):
+def mk_conv_x(r, dt, batch=1):
     w = Tensor(r.uniform(0.1, 0.5, (2, 2, 3, 3)), dtype=dt)
     bias = Tensor(r.uniform(0.0, 0.2, 2), dtype=dt)
-    c = Tensor(r.uniform(0.5, 1.0, (1, 2, 5, 5)), dtype=dt)
-    x = Tensor(r.uniform(0.5, 1.5, (1, 2, 5, 5)), dtype=dt)
+    c = Tensor(r.uniform(0.5, 1.0, (batch, 2, 5, 5)), dtype=dt)
+    x = Tensor(r.uniform(0.5, 1.5, (batch, 2, 5, 5)), dtype=dt)
     return (lambda z: T.sum_(T.mul(T.conv2d(z, w, bias, 1, 1), c))), x
 
 
-def mk_conv_w(r, dt):
-    xin = Tensor(r.uniform(0.5, 1.5, (1, 2, 5, 5)), dtype=dt)
-    c = Tensor(r.uniform(0.5, 1.0, (1, 3, 3, 3)), dtype=dt)
+def mk_conv_w(r, dt, batch=1):
+    xin = Tensor(r.uniform(0.5, 1.5, (batch, 2, 5, 5)), dtype=dt)
+    c = Tensor(r.uniform(0.5, 1.0, (batch, 3, 3, 3)), dtype=dt)
     x = Tensor(r.uniform(0.1, 0.5, (3, 2, 3, 3)), dtype=dt)
     return (lambda z: T.sum_(T.mul(T.conv2d(xin, z, stride=2, pad=1), c))), x
 
@@ -290,6 +326,21 @@ def test_gradients_f64(name, mk, h64, h32):
 @pytest.mark.parametrize("name,mk,h64,h32", OP_SUITE, ids=[o[0] for o in OP_SUITE])
 def test_gradients_f32(name, mk, h64, h32):
     assert _run_instances(mk, 10, "f32", h32) <= 1e-3
+
+
+CONV_SUITE = [o for o in OP_SUITE if o[0].startswith("conv2d")]
+
+
+@pytest.mark.parametrize("dtype", ["f64", "f32"])
+@pytest.mark.parametrize("name,mk,h64,h32", CONV_SUITE, ids=[o[0] for o in CONV_SUITE])
+def test_conv2d_gradients_across_im2col_chunks(monkeypatch, name, mk, h64, h32, dtype):
+    # a one-byte budget gives one image per im2col chunk: a batch of 3 spans 3
+    monkeypatch.setattr(T, "_IM2COL_BYTES", 1)
+    make = functools.partial(mk, batch=3)
+    if dtype == "f64":
+        assert _run_instances(make, 10, "f64", h64) <= 1e-5
+    else:
+        assert _run_instances(make, 10, "f32", h32) <= 1e-3
 
 
 def test_composite_conv_relu_matmul_ce_pinned_steps():

@@ -1,6 +1,7 @@
 """CLI subcommands, exit-code contract, config file handling."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -82,6 +83,13 @@ class TestAugmentSplit:
         (out / victim.path).unlink()
         assert main(["augment", "--manifest", str(out / "manifest.json")]) == 3
 
+    def test_augment_manifest_without_seed_exits_3(self, tmp_path):
+        out = run_gen(tmp_path)
+        doc = json.loads((out / "manifest.json").read_text())
+        del doc["seed"]
+        (out / "manifest.json").write_text(json.dumps(doc))
+        assert main(["augment", "--manifest", str(out / "manifest.json")]) == 3
+
     def test_split_then_resplit_guard(self, tmp_path):
         out = run_gen(tmp_path)
         assert main(["split", "--manifest", str(out / "manifest.json"),
@@ -143,6 +151,19 @@ class TestTrainEval:
         bad.write_bytes(blob[:-7])
         assert main(["eval", "--checkpoint", str(bad),
                      "--manifest", str(data / "manifest.json")]) == 3
+
+    def test_eval_on_checkpoint_entry_without_offset_exits_3(self, trained, tmp_path, capsys):
+        data, run = trained
+        blob = (run / "vit-conv.ckpt").read_bytes()
+        (hlen,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[16:16 + hlen])
+        del header["tensors"][0]["offset"]
+        raw = json.dumps(header).encode()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + hlen:])
+        assert main(["eval", "--checkpoint", str(bad),
+                     "--manifest", str(data / "manifest.json")]) == 3
+        assert "malformed tensor entry" in capsys.readouterr().err
 
 
 class TestVerify:

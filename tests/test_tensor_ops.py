@@ -133,6 +133,18 @@ class TestConv2d:
         got = T.conv2d(Tensor(x), Tensor(w), stride=2, pad=0).data
         assert np.abs(got - conv_oracle(x, w, None, 2, 0)).max() <= 1e-5
 
+    @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 0)])
+    def test_oracle_across_im2col_chunks(self, monkeypatch, stride, pad):
+        # a budget of two images' im2col rows: a batch of 5 spans chunks of 2, 2 and 1
+        rng = np.random.default_rng(30 + stride)
+        x = rng.normal(size=(5, 2, 6, 6)).astype(np.float32)
+        w = rng.normal(size=(3, 2, 3, 3)).astype(np.float32)
+        b = rng.normal(size=3).astype(np.float32)
+        oh = T.conv_out_extent(6, 3, stride, pad)
+        monkeypatch.setattr(T, "_IM2COL_BYTES", 2 * oh * oh * 2 * 9 * 4)
+        got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, pad=pad).data
+        assert np.abs(got - conv_oracle(x, w, b, stride, pad)).max() <= 1e-5
+
     def test_nonpositive_extent_rejected(self):
         x = Tensor(np.zeros((1, 1, 3, 3), dtype=np.float32))
         w = Tensor(np.zeros((1, 1, 5, 5), dtype=np.float32))

@@ -324,6 +324,27 @@ class TestTrain:
                    manifest, root, TrainConfig(epochs=2, batch_size=8, seed=4))
         assert r1.identity_json() == r2.identity_json()
 
+    def test_results_do_not_depend_on_thread_count(self, tiny_dataset, monkeypatch):
+        # IHVIT_THREADS=2 runs the two branches concurrently, =1 one after the other
+        root, manifest = tiny_dataset
+        test_x, _ = load_split(manifest, root, "test")
+        from ihvit.train import _batch_tensor
+        x = _batch_tensor(test_x[:4])
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("IHVIT_THREADS", threads)
+            arm = build_arm("ih-vit", TINY_VIT, TINY_RESNET, seed=8)
+            report = train(arm, manifest, root, TrainConfig(epochs=1, batch_size=8, seed=8))
+            params = {k: t.data.tobytes() for k, t in arm.parameters().items()}
+            runs.append((report.loss_curve, params, arm.predict_probs(x).tobytes()))
+        assert runs[0] == runs[1]
+
+    def test_branch_tapes_must_match_branches(self):
+        arm = build_arm("ih-vit", TINY_VIT, TINY_RESNET, seed=0)
+        x = Tensor(np.zeros((1, 3, 224, 224), dtype=np.float32))
+        with pytest.raises(UsageError, match="2 branches but 1 tapes"):
+            arm.branch_logits(x, [Tape()])
+
     def test_gradients_flow_to_both_branches(self, tiny_dataset):
         root, manifest = tiny_dataset
         train_x, train_y = load_split(manifest, root, "train")

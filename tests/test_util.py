@@ -1,0 +1,45 @@
+"""run_all: the thread budget, result order and error propagation."""
+
+import threading
+import time
+
+import pytest
+
+from ihvit.util import run_all
+
+
+def _thread():
+    return threading.get_ident()
+
+
+def test_serial_under_one_thread(monkeypatch):
+    monkeypatch.setenv("IHVIT_THREADS", "1")
+    assert run_all([_thread, _thread, _thread]) == [threading.get_ident()] * 3
+
+
+def test_last_call_stays_on_the_calling_thread(monkeypatch):
+    monkeypatch.setenv("IHVIT_THREADS", "2")
+    first, last = run_all([_thread, _thread])
+    assert last == threading.get_ident() and first != last
+
+
+def test_results_keep_call_order(monkeypatch):
+    monkeypatch.setenv("IHVIT_THREADS", "3")
+    calls = [lambda i=i: (time.sleep(0.01 * (4 - i)), i)[1] for i in range(5)]
+    assert run_all(calls) == [0, 1, 2, 3, 4]
+
+
+def test_worker_error_is_raised_after_every_call_finishes(monkeypatch):
+    monkeypatch.setenv("IHVIT_THREADS", "2")
+    done = []
+
+    def fail():
+        raise ValueError("branch failed")
+
+    def slow():
+        time.sleep(0.05)
+        done.append(True)
+
+    with pytest.raises(ValueError, match="branch failed"):
+        run_all([fail, slow])
+    assert done == [True]
