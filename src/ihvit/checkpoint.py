@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import FormatError
 from .tensor import Tensor, UsageError
+from .util import write_atomic
 
 MAGIC = b"IHVT"
 FORMAT_VERSION = 1
@@ -45,13 +46,8 @@ def save_checkpoint(params: dict[str, Tensor | np.ndarray], config: dict, path) 
         blobs.append(blob)
         offset += len(blob)
     header = json.dumps({"config": config, "tensors": entries}, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", FORMAT_VERSION))
-        f.write(struct.pack("<Q", len(header)))
-        f.write(header)
-        for blob in blobs:
-            f.write(blob)
+    write_atomic(path, [MAGIC, struct.pack("<I", FORMAT_VERSION),
+                        struct.pack("<Q", len(header)), header, *blobs])
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:

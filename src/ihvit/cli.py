@@ -25,6 +25,7 @@ from .train import (
     save_arm,
     train,
 )
+from .util import write_atomic
 
 
 def _log(msg: str) -> None:
@@ -76,7 +77,7 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_arm(arm, out / f"{args.arm}.ckpt")
     report.save(out / f"{args.arm}.report.json")
-    (out / f"{args.arm}.loss.csv").write_text(report.loss_csv())
+    write_atomic(out / f"{args.arm}.loss.csv", [report.loss_csv().encode()])
     _log(report.table())
     _log(f"checkpoint: {out / (args.arm + '.ckpt')}")
     return 0

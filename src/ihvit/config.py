@@ -1,6 +1,6 @@
 """Run configuration: one JSON document with flag overrides.
 
-Sections: synth, pipeline, model (vit, resnet), train, fusion.  Every
+Sections: synth, model (vit, resnet), train, fusion.  Every
 field has a default; the fully-defaulted document is valid; unknown keys
 are rejected.  Precedence: --set flag > file > default.
 """
@@ -15,19 +15,12 @@ from .errors import ConfigError
 from .resnet import ResNetConfig
 from .synth import SynthConfig
 from .train import FusionWeights, TrainConfig
-from .vit import ChannelSpec, ViTConfig
-
-
-@dataclass
-class PipelineConfig:
-    train_fraction: float = 0.8
-    augment_only_defect: bool = True
+from .vit import ViTConfig
 
 
 @dataclass
 class RunConfig:
     synth: SynthConfig = field(default_factory=SynthConfig)
-    pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     vit: ViTConfig = field(default_factory=ViTConfig)
     resnet: ResNetConfig = field(default_factory=ResNetConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -36,7 +29,6 @@ class RunConfig:
     def to_dict(self) -> dict:
         return {
             "synth": asdict(self.synth),
-            "pipeline": asdict(self.pipeline),
             "model": {"vit": asdict(self.vit), "resnet": asdict(self.resnet)},
             "train": asdict(self.train),
             "fusion": asdict(self.fusion),
@@ -55,7 +47,7 @@ def _merge(base: dict, user, path: str = "") -> None:
         if key not in base:
             raise ConfigError(f"unknown config key {where!r}")
         if key == "counts":  # free-form class-count map, replaced wholesale
-            base[key] = dict(value)
+            base[key] = value
         elif isinstance(base[key], dict):
             _merge(base[key], value, where)
         else:
@@ -84,28 +76,18 @@ def apply_override(cfg: dict, spec: str) -> None:
         node[leaf] = raw  # bare strings allowed without quotes
 
 
-def run_config_from_dict(obj: dict) -> RunConfig:
-    merged = default_config_dict()
-    _merge(merged, obj)
-    return _construct(merged)
-
-
 def _construct(d: dict) -> RunConfig:
-    s = dict(d["synth"])
-    s["resolutions"] = tuple(tuple(r) for r in s["resolutions"])
-    s["resolution_weights"] = tuple(s["resolution_weights"])
-    s["classes"] = tuple(s["classes"])
-    s["counts"] = dict(s["counts"])
-    v = dict(d["model"]["vit"])
-    v["channels"] = tuple(ChannelSpec(**c) for c in v["channels"])
-    return RunConfig(
-        synth=SynthConfig(**s),
-        pipeline=PipelineConfig(**d["pipeline"]),
-        vit=ViTConfig(**v),
-        resnet=ResNetConfig(**d["model"]["resnet"]),
-        train=TrainConfig(**d["train"]),
-        fusion=FusionWeights(**d["fusion"]),
-    )
+    """Build the typed config; each dataclass decodes its own JSON-shaped fields."""
+    try:
+        return RunConfig(
+            synth=SynthConfig(**d["synth"]),
+            vit=ViTConfig(**d["model"]["vit"]),
+            resnet=ResNetConfig(**d["model"]["resnet"]),
+            train=TrainConfig(**d["train"]),
+            fusion=FusionWeights(**d["fusion"]),
+        )
+    except (TypeError, ValueError) as e:  # a value of the wrong type or shape
+        raise ConfigError(f"invalid config value: {e}") from None
 
 
 def load_run_config(path=None, overrides: list[str] | None = None,

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, FormatError, InputError
-from .tensor import Tensor
+from .util import write_atomic
 
 MANIFEST_SCHEMA_VERSION = 1
 
@@ -151,7 +151,7 @@ class Manifest:
         }
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=1) + "\n")
+        write_atomic(path, [(json.dumps(self.to_json(), indent=1) + "\n").encode()])
 
     @classmethod
     def load(cls, path) -> "Manifest":
@@ -250,17 +250,6 @@ def _resize_array(pixels: np.ndarray, tw: int, th: int) -> np.ndarray:
     bot = src[y1][:, x0] * (1 - fx)[None, :, None] + src[y1][:, x1] * fx[None, :, None]
     out = top * (1 - fy)[:, None, None] + bot * fy[:, None, None]
     return np.rint(out).clip(0, 255).astype(np.uint8)
-
-
-def resize_bilinear(img: LabeledImage, target: tuple[int, int] = (224, 224)) -> LabeledImage:
-    tw, th = target
-    if img.width < 2 or img.height < 2:
-        raise InputError(f"resize: degenerate source {img.width}x{img.height}")
-    if (img.width, img.height) == (tw, th):
-        pixels = img.pixels.copy()
-    else:
-        pixels = _resize_array(img.pixels, tw, th)
-    return replace(img, width=tw, height=th, pixels=pixels)
 
 
 # ---------------------------------------------------------------------------
@@ -403,20 +392,3 @@ def balance_and_split(manifest: Manifest, train_fraction: float = 0.8,
             entries[idxs[j]].split = "train" if rank < n_train else "test"
     return Manifest(seed=manifest.seed, entries=entries)
 
-
-# ---------------------------------------------------------------------------
-# tensor bridge
-
-
-def to_tensor(img: LabeledImage, dtype: str = "f32") -> Tensor:
-    """Channel-first [3, 224, 224] tensor scaled to [0, 1] as value / 255."""
-    if (img.width, img.height) != (224, 224):
-        raise InputError(f"to_tensor: expected 224x224 image, got {img.width}x{img.height}")
-    arr = img.pixels.astype(np.float32 if dtype == "f32" else np.float64)
-    return Tensor(arr.transpose(2, 0, 1) / arr.dtype.type(255.0), dtype=dtype)
-
-
-def from_tensor(t: Tensor) -> np.ndarray:
-    """Inverse of :func:`to_tensor` up to 1/255 quantization."""
-    arr = np.rint(t.data.transpose(1, 2, 0) * 255.0).clip(0, 255)
-    return arr.astype(np.uint8)

@@ -139,31 +139,3 @@ class ResNetBranch:
         feats = mean(x, axis=(2, 3))
         logits = add(matmul(feats, self.params["head.w"]), self.params["head.b"])
         return logits, feats
-
-    def forward_single(self, img: Tensor) -> tuple[Tensor, Tensor]:
-        from .tensor import reshape
-
-        logits, feats = self.forward(reshape(img, (1,) + tuple(img.shape)))
-        return logits[0], feats[0]
-
-
-def parameter_count(config: ResNetConfig) -> int:
-    """Analytic parameter count for a config (weights the model will own)."""
-    total = config.stem_width * 3 * 49
-    if config.norm:
-        total += 2 * config.stem_width
-    cin = config.stem_width
-    for s, (blocks, width) in enumerate(zip(config.stage_blocks, config.stage_widths)):
-        mid = width // config.bottleneck
-        for b in range(blocks):
-            stride = 2 if (b == 0 and s > 0) else 1
-            total += mid * cin + mid * mid * 9 + width * mid
-            if config.norm:
-                total += 2 * (mid + mid + width)
-            if stride != 1 or cin != width:
-                total += width * cin
-                if config.norm:
-                    total += 2 * width
-            cin = width
-    total += config.feature_width * config.classes + config.classes
-    return total

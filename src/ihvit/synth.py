@@ -59,6 +59,11 @@ class SynthConfig:
     max_emit_pixels: int = DEFAULT_MAX_EMIT_PIXELS
 
     def __post_init__(self):
+        # a JSON document gives the sequences as lists
+        self.resolutions = tuple(tuple(r) for r in self.resolutions)
+        self.resolution_weights = tuple(self.resolution_weights)
+        self.classes = tuple(self.classes)
+        self.counts = dict(self.counts)
         if self.density not in ("balanced", "chip_in_corner"):
             raise ConfigError(f"unknown density mode {self.density!r}")
         if len(self.resolutions) != len(self.resolution_weights):

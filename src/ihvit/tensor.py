@@ -93,59 +93,11 @@ class Tensor:
             raise UsageError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def astype(self, dtype: str) -> "Tensor":
-        """Dtype cast; not differentiable (use at graph boundaries only)."""
-        if dtype not in _DTYPES:
-            raise UsageError(f"unknown dtype {dtype!r}")
-        return Tensor(self.data.astype(_DTYPES[dtype]), requires_grad=self.requires_grad)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other, self), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other, self))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return slice_(self, key)
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False) -> "Tensor":
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False) -> "Tensor":
-        return mean(self, axis=axis, keepdims=keepdims)
 
 
 class _Node:
@@ -178,11 +130,6 @@ class Tape:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def reset(self) -> None:
-        """Discard recorded nodes so the tape can serve a new forward pass."""
-        self._nodes.clear()
-        self._spent = False
-
     def backward(self, loss: Tensor, grad: np.ndarray | None = None) -> None:
         """Reverse sweep from ``loss``; gradients sum over all paths.
 
@@ -199,7 +146,7 @@ class Tape:
             raise UsageError(f"backward: seed gradient shape {np.shape(grad)} != loss shape "
                              f"{loss.shape}")
         if self._spent:
-            raise UsageError("tape already consumed by a backward pass; reset() to reuse")
+            raise UsageError("tape already consumed by a backward pass")
         produced = {id(n.out) for n in self._nodes}
         if id(loss) not in produced:
             raise UsageError("loss tensor was not produced on this tape")
@@ -227,11 +174,6 @@ class Tape:
             t.grad = grads[key]
 
 
-def backward(loss: Tensor, tape: Tape) -> None:
-    """Functional alias for :meth:`Tape.backward`."""
-    tape.backward(loss)
-
-
 _TLS = threading.local()
 
 
@@ -257,12 +199,6 @@ def _ensure_finite(op: str, arr: np.ndarray) -> None:
     raise NumericsError(
         f"{op}: {n_bad} non-finite value(s) in output of shape {tuple(arr.shape)}"
     )
-
-
-def _as_tensor(x, like: Tensor) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
 def _check_dtypes(op: str, *tensors: Tensor) -> None:
@@ -679,7 +615,7 @@ def maxpool2d(x: Tensor, k: int, stride: int | None = None, pad: int = 0) -> Ten
 # loss
 
 
-def cross_entropy(logits: Tensor, labels, class_weights: np.ndarray | None = None) -> Tensor:
+def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean over the batch of -log softmax(logits)[label]."""
     if logits.ndim != 2:
         raise ShapeError(f"cross_entropy: expected [batch, classes] logits, got {logits.shape}")
@@ -695,27 +631,14 @@ def cross_entropy(logits: Tensor, labels, class_weights: np.ndarray | None = Non
     se = e.sum(axis=1, keepdims=True)
     logp = (z - m) - np.log(se)
     per_sample = -logp[np.arange(b), y]
-    if class_weights is not None:
-        cw = np.asarray(class_weights, dtype=z.dtype)
-        if cw.shape != (k,):
-            raise UsageError(f"cross_entropy: class_weights must have shape ({k},)")
-        wts = cw[y]
-        denom = wts.sum()
-        loss = (per_sample * wts).sum() / denom
-    else:
-        wts = None
-        denom = float(b)
-        loss = per_sample.mean()
+    loss = per_sample.mean()
 
     probs = e / se
 
     def bwd(g):
         gl = probs.copy()
         gl[np.arange(b), y] -= 1.0
-        if wts is not None:
-            gl *= (wts / denom)[:, None]
-        else:
-            gl /= denom
+        gl /= b
         return (gl * g,)
 
     return _apply("cross_entropy", np.asarray(loss, dtype=z.dtype), (logits,), bwd)

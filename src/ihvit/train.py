@@ -17,11 +17,11 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import ConfigError, InputError
+from .errors import ConfigError, FormatError, InputError
 from .pipeline import Manifest, read_ppm, _resize_array
 from .resnet import ResNetBranch, ResNetConfig
 from .tensor import Tape, Tensor, NumericsError, UsageError, cross_entropy
-from .util import run_all
+from .util import run_all, write_atomic
 from .vit import ChannelSpec, ViTBranch, ViTConfig
 
 ARM_ORDER = ("resnet", "vit", "vit-conv", "vit-2ch", "ih-vit")
@@ -64,7 +64,6 @@ class TrainConfig:
     eps: float = 1e-8
     weight_decay: float = 1e-4
     batch_size: int = 8
-    class_weighting: bool = False
     seed: int = 0
     eval_batch_size: int = 16
     target_accuracy: float | None = None  # optional early stop once reached
@@ -215,10 +214,6 @@ class Arm:
     vit: ViTBranch | None
     fusion: FusionWeights = field(default_factory=FusionWeights)
 
-    @property
-    def display_name(self) -> str:
-        return ARM_DISPLAY[self.name]
-
     def parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
         if self.resnet is not None:
@@ -313,9 +308,12 @@ def arm_from_checkpoint(path) -> Arm:
     name = config.get("arm")
     if name not in ARM_ORDER:
         raise ConfigError(f"checkpoint has unknown arm {name!r}")
-    vit_cfg = _vit_config_from_dict(config["vit"]) if config.get("vit") else ViTConfig()
-    resnet_cfg = ResNetConfig(**config["resnet"]) if config.get("resnet") else ResNetConfig.desk()
-    fusion = FusionWeights(**config.get("fusion", {}))
+    try:
+        vit_cfg = ViTConfig(**config["vit"]) if config.get("vit") else ViTConfig()
+        resnet_cfg = ResNetConfig(**config["resnet"]) if config.get("resnet") else ResNetConfig.desk()
+        fusion = FusionWeights(**config.get("fusion", {}))
+    except (TypeError, ValueError) as e:  # a header value of the wrong type or shape
+        raise FormatError(f"{path}: invalid model config in header: {e}") from None
     arm = build_arm(name, vit_cfg, resnet_cfg, fusion=fusion, seed=0)
     params = arm.parameters()
     if set(raw) != set(params):
@@ -326,12 +324,6 @@ def arm_from_checkpoint(path) -> Arm:
             raise ConfigError(f"checkpoint tensor {k!r} has shape {raw[k].shape}, expected {t.shape}")
         t.data = raw[k]
     return arm
-
-
-def _vit_config_from_dict(obj: dict) -> ViTConfig:
-    obj = dict(obj)
-    obj["channels"] = tuple(ChannelSpec(**c) for c in obj.get("channels", ()))
-    return ViTConfig(**obj)
 
 
 def save_arm(arm: Arm, path) -> None:
@@ -406,7 +398,7 @@ class MetricsReport:
         return json.dumps(out, sort_keys=True)
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=1) + "\n")
+        write_atomic(path, [(json.dumps(self.to_json(), indent=1) + "\n").encode()])
 
     def loss_csv(self) -> str:
         lines = ["epoch,loss,test_accuracy"]
@@ -469,15 +461,7 @@ def evaluate_manifest(arm: Arm, manifest: Manifest, base_dir,
     return evaluate(arm, imgs, labels, batch_size=batch_size)
 
 
-def _class_weights(labels: np.ndarray, classes: int) -> np.ndarray:
-    counts = np.bincount(labels, minlength=classes).astype(np.float64)
-    counts[counts == 0] = 1.0
-    w = len(labels) / (classes * counts)
-    return w
-
-
-def _forward_backward(arm: Arm, x: Tensor, y: np.ndarray, weights: list[float],
-                      cw: np.ndarray | None) -> float:
+def _forward_backward(arm: Arm, x: Tensor, y: np.ndarray, weights: list[float]) -> float:
     """One step's combined loss; leaves the gradients in the parameters' .grad.
 
     Each branch records onto a tape of its own, so the branches' forward and
@@ -490,7 +474,7 @@ def _forward_backward(arm: Arm, x: Tensor, y: np.ndarray, weights: list[float],
     losses = []
     for tape, l in zip(tapes, logits.values()):
         with tape:
-            losses.append(cross_entropy(l, y, class_weights=cw))
+            losses.append(cross_entropy(l, y))
     with Tape() as fuse_tape:
         loss = combined_loss(losses, weights)
     fuse_tape.backward(loss)
@@ -512,7 +496,6 @@ def train(arm: Arm, manifest: Manifest, base_dir, cfg: TrainConfig,
     steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
     total_steps = cfg.epochs * steps_per_epoch
     weights = arm.branch_weights()
-    cw = _class_weights(train_y, classes) if cfg.class_weighting else None
 
     loss_curve: list[float] = []
     acc_curve: list[float] = []
@@ -529,7 +512,7 @@ def train(arm: Arm, manifest: Manifest, base_dir, cfg: TrainConfig,
             x = _batch_tensor(train_x[idx])
             y = train_y[idx]
             try:
-                loss = _forward_backward(arm, x, y, weights, cw)
+                loss = _forward_backward(arm, x, y, weights)
             except NumericsError as e:
                 raise NumericsError(f"epoch {epoch} step {b}: {e}") from None
             lr = cosine_lr(step, total_steps, cfg.lr0, cfg.lr_min)

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import os
+import uuid
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from pathlib import Path
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import ConfigError
 
@@ -42,3 +44,23 @@ def run_all(calls: Sequence[Callable[[], R]]) -> list[R]:
         futures = [pool.submit(call) for call in calls[:-1]]
         last = calls[-1]()
         return [f.result() for f in futures] + [last]
+
+
+def write_atomic(path, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` to ``path`` so that it holds either the old or the new file.
+
+    The bytes go to a temporary file in the target's directory, which then
+    replaces ``path`` in one ``os.replace``.  If writing fails, the
+    temporary file is removed and ``path`` is left as it was.  There is no
+    fsync: this guards against a crash of the program, not of the machine.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

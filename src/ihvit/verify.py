@@ -3,6 +3,7 @@
 Each check returns a detail string or raises; the CLI prints one row per
 check and exits nonzero if any fail.  The pytest suite runs the same
 ground more exhaustively; this battery is the quick self-contained gate.
+The brute-force oracles below are the one reference both use.
 """
 
 from __future__ import annotations
@@ -36,6 +37,79 @@ def _require(ok: bool, detail: str) -> str:
     if not ok:
         raise AssertionError(detail)
     return detail
+
+
+# -- brute-force oracles (shared with the test suite) ------------------------
+
+
+def matmul_oracle(a, b):
+    m, k = a.shape
+    k2, n = b.shape
+    out = np.zeros((m, n), dtype=np.float64)
+    for i in range(m):
+        for j in range(n):
+            for l in range(k):
+                out[i, j] += float(a[i, l]) * float(b[l, j])
+    return out
+
+
+def conv_oracle(x, w, b, stride, pad):
+    """Direct NCHW cross-correlation; ``b`` may be None."""
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (wd + 2 * pad - kw) // stride + 1
+    xp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=np.float64)
+    xp[:, :, pad:pad + h, pad:pad + wd] = x
+    out = np.zeros((n, o, oh, ow), dtype=np.float64)
+    for ni in range(n):
+        for oi in range(o):
+            for yi in range(oh):
+                for xi in range(ow):
+                    acc = 0.0 if b is None else float(b[oi])
+                    for ci in range(c):
+                        for ky in range(kh):
+                            for kx in range(kw):
+                                acc += float(xp[ni, ci, yi * stride + ky, xi * stride + kx]) \
+                                    * float(w[oi, ci, ky, kx])
+                    out[ni, oi, yi, xi] = acc
+    return out
+
+
+def maxpool_oracle(x, k, stride, pad):
+    n, c, h, w = x.shape
+    oh = (h + 2 * pad - k) // stride + 1
+    ow = (w + 2 * pad - k) // stride + 1
+    xp = np.full((n, c, h + 2 * pad, w + 2 * pad), -np.inf)
+    xp[:, :, pad:pad + h, pad:pad + w] = x
+    out = np.zeros((n, c, oh, ow))
+    for ni in range(n):
+        for ci in range(c):
+            for i in range(oh):
+                for j in range(ow):
+                    out[ni, ci, i, j] = xp[ni, ci,
+                                           i * stride:i * stride + k,
+                                           j * stride:j * stride + k].max()
+    return out
+
+
+def attention_oracle(x, params, prefix, heads):
+    """Per-head, per-query self-attention over one [n, d] token matrix."""
+    n, d = x.shape
+    hd = d // heads
+    q = x @ params[f"{prefix}.wq"].data + params[f"{prefix}.bq"].data
+    k = x @ params[f"{prefix}.wk"].data + params[f"{prefix}.bk"].data
+    v = x @ params[f"{prefix}.wv"].data + params[f"{prefix}.bv"].data
+    ctx = np.zeros((n, d))
+    for h in range(heads):
+        sl = slice(h * hd, (h + 1) * hd)
+        for i in range(n):
+            scores = np.array([q[i, sl] @ k[j, sl] / math.sqrt(hd) for j in range(n)])
+            w = np.exp(scores - scores.max())
+            w /= w.sum()
+            for j in range(n):
+                ctx[i, sl] += w[j] * v[j, sl]
+    return ctx @ params[f"{prefix}.wo"].data + params[f"{prefix}.bo"].data
 
 
 # -- gradient checks --------------------------------------------------------
@@ -123,12 +197,7 @@ def check_oracle_matmul() -> str:
     a = rng.normal(size=(3, 5)).astype(np.float32)
     b = rng.normal(size=(5, 2)).astype(np.float32)
     got = T.matmul(Tensor(a), Tensor(b)).data
-    want = np.zeros((3, 2))
-    for i in range(3):
-        for j in range(2):
-            for k in range(5):
-                want[i, j] += float(a[i, k]) * float(b[k, j])
-    err = np.abs(got - want).max()
+    err = np.abs(got - matmul_oracle(a, b)).max()
     return _require(err <= 1e-5, f"abs err {err:.2e}")
 
 
@@ -138,41 +207,15 @@ def check_oracle_conv2d() -> str:
     w = rng.normal(size=(3, 2, 3, 3)).astype(np.float32)
     b = rng.normal(size=(3,)).astype(np.float32)
     got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=1, pad=1).data
-    want = _conv_oracle(x, w, b, 1, 1)
-    err = np.abs(got - want).max()
+    err = np.abs(got - conv_oracle(x, w, b, 1, 1)).max()
     return _require(err <= 1e-5, f"abs err {err:.2e}")
-
-
-def _conv_oracle(x, w, b, stride, pad):
-    n, c, h, wd = x.shape
-    o, _, kh, kw = w.shape
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (wd + 2 * pad - kw) // stride + 1
-    xp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad))
-    xp[:, :, pad:pad + h, pad:pad + wd] = x
-    out = np.zeros((n, o, oh, ow))
-    for ni in range(n):
-        for oi in range(o):
-            for yi in range(oh):
-                for xi in range(ow):
-                    acc = 0.0
-                    for ci in range(c):
-                        for ky in range(kh):
-                            for kx in range(kw):
-                                acc += xp[ni, ci, yi * stride + ky, xi * stride + kx] * w[oi, ci, ky, kx]
-                    out[ni, oi, yi, xi] = acc + b[oi]
-    return out
 
 
 def check_oracle_maxpool() -> str:
     rng = np.random.default_rng(203)
     x = rng.normal(size=(1, 1, 6, 6)).astype(np.float32)
     got = T.maxpool2d(Tensor(x), 2, 2, 0).data
-    want = np.zeros((1, 1, 3, 3), dtype=np.float32)
-    for i in range(3):
-        for j in range(3):
-            want[0, 0, i, j] = x[0, 0, 2 * i:2 * i + 2, 2 * j:2 * j + 2].max()
-    return _require(np.array_equal(got, want), "exact window-scan match")
+    return _require(np.array_equal(got, maxpool_oracle(x, 2, 2, 0)), "exact window-scan match")
 
 
 def check_oracle_softmax() -> str:
@@ -193,29 +236,11 @@ def check_oracle_attention() -> str:
         params[f"a.b{nm}"] = Tensor(rng.normal(size=(d,)), dtype="f64")
     x = rng.normal(size=(1, 4, d))
     got, weights = multi_head_attention(Tensor(x, dtype="f64"), params, "a", heads)
-    want = _attention_oracle(x[0], params, heads)
+    want = attention_oracle(x[0], params, "a", heads)
     err = np.abs(got.data[0] - want).max()
     rowsum = np.abs(weights.data.sum(-1) - 1).max()
     return _require(err <= 1e-5 and rowsum <= 1e-6,
                     f"abs err {err:.2e}, row-sum err {rowsum:.2e}")
-
-
-def _attention_oracle(x, params, heads):
-    n, d = x.shape
-    hd = d // heads
-    q = x @ params["a.wq"].data + params["a.bq"].data
-    k = x @ params["a.wk"].data + params["a.bk"].data
-    v = x @ params["a.wv"].data + params["a.bv"].data
-    ctx = np.zeros((n, d))
-    for h in range(heads):
-        sl = slice(h * hd, (h + 1) * hd)
-        for i in range(n):
-            scores = np.array([q[i, sl] @ k[j, sl] / math.sqrt(hd) for j in range(n)])
-            w = np.exp(scores - scores.max())
-            w /= w.sum()
-            for j in range(n):
-                ctx[i, sl] += w[j] * v[j, sl]
-    return ctx @ params["a.wo"].data + params["a.bo"].data
 
 
 # -- shape ledger -----------------------------------------------------------
@@ -317,17 +342,12 @@ def check_fusion_contracts() -> str:
     ok = combined_loss([l1, l2], [1, 1]).item() == 0.7
     ok = ok and cosine_lr(0, 100, 0.001) == 0.001 and cosine_lr(100, 100, 0.001) == 0.0
     rng = np.random.default_rng(304)
-    p = _softmax(rng.normal(size=4))
-    q = _softmax(rng.normal(size=4))
+    p = T.softmax(Tensor(rng.normal(size=4), dtype="f64")).data
+    q = T.softmax(Tensor(rng.normal(size=4), dtype="f64")).data
     f1, pred1 = decision_fuse(p, q, FusionWeights(1.0, 1.0))
     f2, pred2 = decision_fuse(p, q, FusionWeights(3.0, 3.0))
     ok = ok and abs(f1.sum() - 1) <= 1e-6 and pred1 == pred2
     return _require(ok, "combined_loss(0.6,0.8)=0.7; cosine endpoints; fuse scale-invariant")
-
-
-def _softmax(z):
-    e = np.exp(z - z.max())
-    return e / e.sum()
 
 
 CHECKS = [

@@ -82,13 +82,16 @@ class ViTConfig:
     eps: float = 1e-5
 
     def __post_init__(self):
-        if isinstance(self.channels, list):
-            self.channels = tuple(self.channels)
+        # a JSON document gives channels as a list of {patch, embed} objects
+        self.channels = tuple(ChannelSpec(**ch) if isinstance(ch, dict) else ch
+                              for ch in self.channels)
         if self.dim % self.heads != 0:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.depth < 1 or self.classes < 2:
             raise ConfigError("depth must be >= 1 and classes >= 2")
         for ch in self.channels:
+            if not isinstance(ch, ChannelSpec):
+                raise ConfigError(f"channel must be a {{patch, embed}} object, got {ch!r:.60}")
             if self.image_size % ch.patch != 0:
                 raise ConfigError(
                     f"patch size {ch.patch} does not divide image size {self.image_size}"
@@ -97,15 +100,6 @@ class ViTConfig:
     @property
     def head_dim(self) -> int:
         return self.dim // self.heads
-
-
-@dataclass
-class TokenSequence:
-    """Per-channel token matrix with class token prepended."""
-
-    channel: int
-    tokens: Tensor  # (count + 1, dim)
-    position_added: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -134,17 +128,6 @@ def patchify(img: Tensor, patch: int) -> Tensor:
     x = reshape(img, (b, 3, n_side, patch, n_side, patch))
     x = transpose(x, (0, 2, 4, 1, 3, 5))
     return reshape(x, (b, n_side * n_side, 3, patch, patch))
-
-
-def unpatchify(patches: Tensor, image_size: int) -> Tensor:
-    """Inverse tiling; [(S/P)^2, 3, P, P] -> [3, S, S]."""
-    n, c, p, _ = patches.shape
-    n_side = image_size // p
-    if n_side * n_side != n:
-        raise ShapeError(f"unpatchify: {n} patches of size {p} do not tile {image_size}")
-    x = reshape(patches, (n_side, n_side, c, p, p))
-    x = transpose(x, (2, 0, 3, 1, 4))
-    return reshape(x, (c, image_size, image_size))
 
 
 # ---------------------------------------------------------------------------
@@ -325,21 +308,6 @@ class ViTBranch:
             feats = scale(feats, 1.0 / len(outs))
         logits = add(matmul(feats, self.params["head.w"]), self.params["head.b"])
         return logits, feats
-
-    def forward_single(self, img: Tensor) -> tuple[Tensor, Tensor]:
-        """[3,S,S] -> (logits [K], features [dim])."""
-        logits, feats = self.forward(reshape(img, (1,) + tuple(img.shape)))
-        return logits[0], feats[0]
-
-
-def encoder_forward(seq: TokenSequence, branch: ViTBranch) -> Tensor:
-    """Run one prepared token sequence through the shared encoder stack,
-    returning the final class-token vector."""
-    if not seq.position_added:
-        raise ConfigError("encoder_forward: positional embedding not added")
-    tokens = reshape(seq.tokens, (1,) + tuple(seq.tokens.shape))
-    encoded = _encode(tokens, branch.params, branch.config)
-    return encoded[0, 0, :]
 
 
 # ---------------------------------------------------------------------------

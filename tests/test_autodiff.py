@@ -61,10 +61,8 @@ class TestTape:
         with Tape() as tape:
             loss = T.sum_(x)
         tape.backward(loss)
-        with pytest.raises(UsageError, match="reset"):
+        with pytest.raises(UsageError, match="already consumed by a backward pass"):
             tape.backward(loss)
-        tape.reset()
-        assert len(tape) == 0
 
     def test_loss_must_be_on_tape(self):
         x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)

@@ -137,6 +137,14 @@ class TestTrainEval:
                    "--out", str(run), "--epochs", "0"])
         assert rc == 2
 
+    @pytest.mark.parametrize("override", ["train.epochs=abc", "model.vit.channels=[5]"])
+    def test_mistyped_config_value_exits_2(self, trained, override, capsys):
+        data, run = trained
+        rc = main(["train", "--manifest", str(data / "manifest.json"), "--arm", "vit",
+                   "--out", str(run), "--set", override])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_unknown_arm_exits_2(self, trained):
         data, run = trained
         with pytest.raises(SystemExit) as exc:
@@ -164,6 +172,19 @@ class TestTrainEval:
         assert main(["eval", "--checkpoint", str(bad),
                      "--manifest", str(data / "manifest.json")]) == 3
         assert "malformed tensor entry" in capsys.readouterr().err
+
+    def test_eval_on_checkpoint_with_unknown_vit_key_exits_3(self, trained, tmp_path, capsys):
+        data, run = trained
+        blob = (run / "vit-conv.ckpt").read_bytes()
+        (hlen,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[16:16 + hlen])
+        header["config"]["vit"]["depthh"] = 2
+        raw = json.dumps(header).encode()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + hlen:])
+        assert main(["eval", "--checkpoint", str(bad),
+                     "--manifest", str(data / "manifest.json")]) == 3
+        assert "depthh" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -198,7 +219,13 @@ class TestConfigHandling:
         assert cfg.vit.dim == 75
         assert cfg.resnet.stage_widths == (32, 64, 128, 256)
         assert cfg.fusion.a_resnet == 1.0 and cfg.fusion.a_vit == 1.0
-        assert cfg.pipeline.train_fraction == 0.8
+
+    def test_pipeline_section_rejected(self, tmp_path):
+        # split --fraction and augment --all-classes carry those choices
+        p = tmp_path / "cfg.json"
+        p.write_text('{"pipeline": {"train_fraction": 0.8}}')
+        with pytest.raises(ConfigError, match="unknown config key 'pipeline'"):
+            load_run_config(p, [])
 
     def test_default_dict_roundtrips_through_file(self, tmp_path):
         p = tmp_path / "cfg.json"

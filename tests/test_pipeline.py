@@ -13,13 +13,12 @@ from ihvit.pipeline import (
     ManifestEntry,
     augment_all,
     augment_manifest,
+    _resize_array,
     balance_and_split,
-    from_tensor,
     read_ppm,
-    resize_bilinear,
-    to_tensor,
     write_ppm,
 )
+from ihvit.train import _batch_tensor
 
 
 def make_image(w=64, h=48, label=1, seed=0):
@@ -32,31 +31,21 @@ def make_image(w=64, h=48, label=1, seed=0):
 class TestResize:
     def test_512x480_to_224(self):
         img = make_image(512, 480)
-        out = resize_bilinear(img, (224, 224))
-        assert (out.width, out.height) == (224, 224)
-        assert out.pixels.shape == (224, 224, 3)
-        assert out.label == img.label
+        out = _resize_array(img.pixels, 224, 224)
+        assert out.shape == (224, 224, 3) and out.dtype == np.uint8
 
     def test_identity_resize_is_byte_exact(self):
         img = make_image(224, 224)
-        out = resize_bilinear(img, (224, 224))
-        assert np.array_equal(out.pixels, img.pixels)
+        out = _resize_array(img.pixels, 224, 224)
+        assert np.array_equal(out, img.pixels)
 
     def test_checkerboard_to_center_sample(self):
         # 2x2 board collapsing to 1x1 lands exactly between all four pixels,
         # so the bilinear value is their mean: (0+255+255+0)/4 = 127.5 -> 128
         px = np.zeros((2, 2, 3), dtype=np.uint8)
         px[0, 1] = px[1, 0] = 255
-        img = LabeledImage(width=2, height=2, pixels=px, label=0, defect_free=True)
-        out = resize_bilinear(img, (1, 1))
-        assert np.array_equal(out.pixels, np.full((1, 1, 3), 128, dtype=np.uint8))
-
-    def test_degenerate_source_rejected(self):
-        img = LabeledImage(width=1, height=4,
-                           pixels=np.zeros((4, 1, 3), dtype=np.uint8),
-                           label=0, defect_free=True)
-        with pytest.raises(InputError, match="degenerate"):
-            resize_bilinear(img, (224, 224))
+        out = _resize_array(px, 1, 1)
+        assert np.array_equal(out, np.full((1, 1, 3), 128, dtype=np.uint8))
 
 
 class TestAugment:
@@ -239,30 +228,21 @@ class TestPPM:
 
 
 class TestToTensor:
+    # a decoded image reaches the model through train._batch_tensor
     def test_zero_image(self):
         img = LabeledImage(width=224, height=224,
                            pixels=np.zeros((224, 224, 3), dtype=np.uint8),
                            label=0, defect_free=True)
-        t = to_tensor(img)
-        assert t.shape == (3, 224, 224)
+        t = _batch_tensor(img.pixels[None])
+        assert t.shape == (1, 3, 224, 224)
         assert t.data.max() == 0.0
 
     def test_endpoints(self):
         px = np.zeros((224, 224, 3), dtype=np.uint8)
         px[0, 0] = 255
         img = LabeledImage(width=224, height=224, pixels=px, label=0, defect_free=True)
-        t = to_tensor(img)
-        assert t.data[0, 0, 0] == 1.0 and t.data[0, 0, 1] == 0.0
-
-    def test_roundtrip_within_quantization(self):
-        img = make_image(224, 224)
-        t = to_tensor(img)
-        back = from_tensor(t)
-        assert np.array_equal(back, img.pixels)  # exact: grid values are k/255
-
-    def test_wrong_dims_rejected(self):
-        with pytest.raises(InputError):
-            to_tensor(make_image(64, 64))
+        t = _batch_tensor(img.pixels[None])
+        assert t.data[0, 0, 0, 0] == 1.0 and t.data[0, 0, 0, 1] == 0.0
 
 
 class TestManifest:

@@ -5,7 +5,7 @@ import pytest
 
 from ihvit import tensor as T
 from ihvit.errors import ConfigError
-from ihvit.resnet import ResNetBranch, ResNetConfig, parameter_count
+from ihvit.resnet import ResNetBranch, ResNetConfig
 from ihvit.tensor import Tensor, cross_entropy, grad_check
 
 DESK = ResNetConfig.desk(classes=3)
@@ -105,16 +105,10 @@ class TestForward:
 
 class TestParameterCount:
     def test_resnet50_matches_standard_architecture(self):
-        # analytic count for the standard 50-layer bottleneck network with
-        # per-channel norm affine and a 1000-way head
-        cfg = ResNetConfig.resnet50(classes=1000)
-        assert parameter_count(cfg) == 25_557_032
-        model = ResNetBranch(cfg, seed=0)
+        # the standard 50-layer bottleneck network with per-channel norm
+        # affine and a 1000-way head
+        model = ResNetBranch(ResNetConfig.resnet50(classes=1000), seed=0)
         assert sum(t.size for t in model.params.values()) == 25_557_032
-
-    def test_desk_preset_consistency(self):
-        model = ResNetBranch(DESK, seed=0)
-        assert sum(t.size for t in model.params.values()) == parameter_count(DESK)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -124,6 +124,14 @@ class TestSynthConfig:
         with pytest.raises(ConfigError):
             SynthConfig(density="sparse")
 
+    def test_json_lists_equal_tuple_form(self):
+        from_json = SynthConfig(resolutions=[[96, 96], [64, 48]], resolution_weights=[0.5, 0.5],
+                                classes=["normal", "scratch"], counts={"normal": 2, "scratch": 2})
+        assert from_json == SynthConfig(resolutions=((96, 96), (64, 48)),
+                                        resolution_weights=(0.5, 0.5),
+                                        classes=("normal", "scratch"),
+                                        counts={"normal": 2, "scratch": 2})
+
 
 class TestGenDataset:
     def test_desk_default_counts(self, tmp_path):

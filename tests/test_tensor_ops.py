@@ -9,56 +9,7 @@ from hypothesis import strategies as st
 
 from ihvit import tensor as T
 from ihvit.tensor import NumericsError, ShapeError, Tape, Tensor, UsageError
-
-
-def matmul_oracle(a, b):
-    m, k = a.shape
-    k2, n = b.shape
-    out = np.zeros((m, n), dtype=np.float64)
-    for i in range(m):
-        for j in range(n):
-            for l in range(k):
-                out[i, j] += float(a[i, l]) * float(b[l, j])
-    return out
-
-
-def conv_oracle(x, w, b, stride, pad):
-    n, c, h, wd = x.shape
-    o, _, kh, kw = w.shape
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (wd + 2 * pad - kw) // stride + 1
-    xp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=np.float64)
-    xp[:, :, pad:pad + h, pad:pad + wd] = x
-    out = np.zeros((n, o, oh, ow), dtype=np.float64)
-    for ni in range(n):
-        for oi in range(o):
-            for yi in range(oh):
-                for xi in range(ow):
-                    acc = 0.0 if b is None else float(b[oi])
-                    for ci in range(c):
-                        for ky in range(kh):
-                            for kx in range(kw):
-                                acc += float(xp[ni, ci, yi * stride + ky, xi * stride + kx]) \
-                                    * float(w[oi, ci, ky, kx])
-                    out[ni, oi, yi, xi] = acc
-    return out
-
-
-def maxpool_oracle(x, k, stride, pad):
-    n, c, h, w = x.shape
-    oh = (h + 2 * pad - k) // stride + 1
-    ow = (w + 2 * pad - k) // stride + 1
-    xp = np.full((n, c, h + 2 * pad, w + 2 * pad), -np.inf)
-    xp[:, :, pad:pad + h, pad:pad + w] = x
-    out = np.zeros((n, c, oh, ow))
-    for ni in range(n):
-        for ci in range(c):
-            for i in range(oh):
-                for j in range(ow):
-                    out[ni, ci, i, j] = xp[ni, ci,
-                                           i * stride:i * stride + k,
-                                           j * stride:j * stride + k].max()
-    return out
+from ihvit.verify import conv_oracle, matmul_oracle, maxpool_oracle
 
 
 class TestMatmul:

@@ -22,6 +22,7 @@ from ihvit.train import (
     FusionWeights,
     MetricsReport,
     TrainConfig,
+    _batch_tensor,
     ablate,
     adam_step,
     arm_from_checkpoint,
@@ -294,7 +295,6 @@ class TestTrain:
         root, manifest = tiny_dataset
         train_x, train_y = load_split(manifest, root, "train")
         arm = build_arm("ih-vit", TINY_VIT, TINY_RESNET, seed=1)
-        from ihvit.train import _batch_tensor
         from ihvit.tensor import cross_entropy
         x = _batch_tensor(train_x[:4])
         logits = arm.branch_logits(x)
@@ -328,7 +328,6 @@ class TestTrain:
         # IHVIT_THREADS=2 runs the two branches concurrently, =1 one after the other
         root, manifest = tiny_dataset
         test_x, _ = load_split(manifest, root, "test")
-        from ihvit.train import _batch_tensor
         x = _batch_tensor(test_x[:4])
         runs = []
         for threads in ("1", "2"):
@@ -350,7 +349,6 @@ class TestTrain:
         train_x, train_y = load_split(manifest, root, "train")
         arm = build_arm("ih-vit", TINY_VIT, TINY_RESNET, seed=5)
         from ihvit.tensor import cross_entropy
-        from ihvit.train import _batch_tensor
         x = _batch_tensor(train_x[:4])
         with Tape() as tape:
             logits = arm.branch_logits(x)
@@ -372,7 +370,6 @@ class TestTrain:
         acc, _ = evaluate_manifest(restored, manifest, root)
         assert acc == report.accuracy
         test_x, test_y = load_split(manifest, root, "test")
-        from ihvit.train import _batch_tensor
         x = _batch_tensor(test_x[:4])
         a = arm.branch_logits(x)["vit"].data
         b = restored.branch_logits(x)["vit"].data
@@ -442,6 +439,23 @@ class TestAblate:
         assert "error" in by_name["2channel-ViT"]
         assert all("accuracy" in by_name[n]
                    for n in ("ResNet50", "ViT", "ViT+Conv", "IH-ViT"))
+
+
+class TestBatchTensor:
+    def test_channel_first_scaling(self):
+        px = np.zeros((2, 224, 224, 3), dtype=np.uint8)
+        px[1, 0, 0, 0] = 255
+        t = _batch_tensor(px)
+        assert t.shape == (2, 3, 224, 224) and t.dtype == "f32"
+        assert t.data[1, 0, 0, 0] == 1.0 and t.data[1, 0, 0, 1] == 0.0
+        assert t.data[0].max() == 0.0 and t.data[1, 1:].max() == 0.0
+
+    def test_exact_inversion_on_byte_grid(self):
+        # every byte k maps to k/255, which rounds back to k exactly
+        px = np.random.default_rng(3).integers(0, 256, size=(2, 224, 224, 3), dtype=np.uint8)
+        t = _batch_tensor(px)
+        back = np.rint(t.data.transpose(0, 2, 3, 1) * 255.0).astype(np.uint8)
+        assert np.array_equal(back, px)
 
 
 class TestMetricsReport:

@@ -1,11 +1,12 @@
-"""run_all: the thread budget, result order and error propagation."""
+"""run_all: the thread budget, result order and error propagation;
+write_atomic: a failed write leaves the old file."""
 
 import threading
 import time
 
 import pytest
 
-from ihvit.util import run_all
+from ihvit.util import run_all, write_atomic
 
 
 def _thread():
@@ -43,3 +44,25 @@ def test_worker_error_is_raised_after_every_call_finishes(monkeypatch):
     with pytest.raises(ValueError, match="branch failed"):
         run_all([fail, slow])
     assert done == [True]
+
+
+def test_write_atomic_replaces_the_file(tmp_path):
+    path = tmp_path / "a.bin"
+    path.write_bytes(b"old")
+    write_atomic(path, [b"ne", b"w"])
+    assert path.read_bytes() == b"new"
+    assert [p.name for p in tmp_path.iterdir()] == ["a.bin"]
+
+
+def test_failed_write_keeps_the_old_file_and_no_temp(tmp_path):
+    path = tmp_path / "a.bin"
+    path.write_bytes(b"old")
+
+    def chunks():
+        yield b"half of the new"
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        write_atomic(path, chunks())
+    assert path.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["a.bin"]
