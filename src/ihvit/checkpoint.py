@@ -66,6 +66,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         header = json.loads(data[16:16 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"{path}: unreadable header: {e}", offset=16) from None
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header is not a JSON object", offset=16)
     entries = header.get("tensors")
     if not isinstance(entries, list):
         raise FormatError(f"{path}: header missing tensor manifest", offset=16)

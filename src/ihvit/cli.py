@@ -20,6 +20,7 @@ from .train import (
     ablate,
     arm_from_checkpoint,
     build_arm,
+    confusion_table,
     evaluate_manifest,
     format_table,
     save_arm,
@@ -89,9 +90,7 @@ def cmd_eval(args) -> int:
     manifest = Manifest.load(path)
     accuracy, confusion = evaluate_manifest(arm, manifest, path.parent)
     _log(f"arm: {arm.name}  test accuracy: {100 * accuracy:.2f}%")
-    header = ["true\\pred"] + [str(i) for i in range(confusion.shape[0])]
-    rows = [[str(i)] + [str(v) for v in row] for i, row in enumerate(confusion)]
-    _log(format_table(header, rows))
+    _log(confusion_table(confusion))
     return 0
 
 

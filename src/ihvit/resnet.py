@@ -66,7 +66,6 @@ class ResNetConfig:
 class ResNetBranch:
     def __init__(self, config: ResNetConfig, seed: int = 0, dtype: str = "f32"):
         self.config = config
-        self.dtype = dtype
         rng = np.random.default_rng(np.random.SeedSequence((seed, 11)))
         p: dict[str, np.ndarray] = {
             "stem.conv.w": kaiming_uniform(rng, (config.stem_width, 3, 7, 7)),
@@ -96,9 +95,6 @@ class ResNetBranch:
         p["head.w"] = trunc_normal(rng, (config.feature_width, config.classes))
         p["head.b"] = np.zeros(config.classes)
         self.params = {k: Tensor(v, dtype=dtype, requires_grad=True) for k, v in p.items()}
-
-    def parameters(self) -> dict[str, Tensor]:
-        return self.params
 
     def _norm(self, x: Tensor, prefix: str) -> Tensor:
         if not self.config.norm:

@@ -333,32 +333,31 @@ def slice_(a: Tensor, key) -> Tensor:
     return _apply("slice", np.ascontiguousarray(out), (a,), bwd, check=False)
 
 
-def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def _reduce(op: str, a: Tensor, out: np.ndarray, axis, keepdims: bool,
+            c: float = 1.0) -> Tensor:
+    """Record a sum-like reduction: the gradient is ``c`` times the
+    incoming one, spread back over the reduced axes."""
     shape = a.shape
 
     def bwd(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
+        if c != 1.0:
+            g = g * g.dtype.type(c)
         return (np.broadcast_to(g, shape).copy(),)
 
-    return _apply("sum", a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
+    return _apply(op, out, (a,), bwd)
+
+
+def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    return _reduce("sum", a, a.data.sum(axis=axis, keepdims=keepdims), axis, keepdims)
 
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    shape = a.shape
-    if axis is None:
-        count = a.size
-    else:
-        ax = (axis,) if isinstance(axis, int) else tuple(axis)
-        count = int(np.prod([shape[i] for i in ax]))
-    inv = 1.0 / count
-
-    def bwd(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g * g.dtype.type(inv), shape).copy(),)
-
-    return _apply("mean", a.data.mean(axis=axis, keepdims=keepdims), (a,), bwd)
+    ax = range(a.ndim) if axis is None else (axis,) if isinstance(axis, int) else axis
+    count = int(np.prod([a.shape[i] for i in ax]))
+    return _reduce("mean", a, a.data.mean(axis=axis, keepdims=keepdims), axis, keepdims,
+                   1.0 / count)
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +400,17 @@ def gelu(a: Tensor) -> Tensor:
     return _apply("gelu", x * phi_cdf, (a,), lambda g: (g * local,))
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+def _shifted_exp(z: np.ndarray, axis: int):
+    """``z - max``, its exp and the sum of the exp along ``axis``; the
+    shift by the maximum keeps every exp finite."""
+    shifted = z - z.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    return shifted, e, e.sum(axis=axis, keepdims=True)
+
+
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    _, e, se = _shifted_exp(a.data, axis)
+    out = e / se
 
     def bwd(g):
         return ((g - (g * out).sum(axis=axis, keepdims=True)) * out,)
@@ -416,30 +422,37 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 # normalization
 
 
-def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-token normalization over the last axis, then affine."""
+def _normalize(op: str, x: Tensor, gamma: Tensor, beta: Tensor, eps: float,
+               axes, ch: int) -> Tensor:
+    """Zero-mean, unit-variance over ``axes``, then a per-entry affine along axis ``ch``."""
     if eps <= 0:
-        raise UsageError(f"layernorm: eps must be > 0, got {eps}")
-    _check_dtypes("layernorm", x, gamma, beta)
-    d = x.shape[-1]
-    if gamma.shape != (d,) or beta.shape != (d,):
-        raise ShapeError(
-            f"layernorm: gamma/beta must have shape ({d},), got {gamma.shape}/{beta.shape}"
-        )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+        raise UsageError(f"{op}: eps must be > 0, got {eps}")
+    _check_dtypes(op, x, gamma, beta)
+    c = x.shape[ch]
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise ShapeError(f"{op}: gamma/beta must have shape ({c},), got {gamma.shape}/{beta.shape}")
+    ch %= x.ndim
+    shape = tuple(c if i == ch else 1 for i in range(x.ndim))
+    param_axes = tuple(i for i in range(x.ndim) if i != ch)
+    g_ = gamma.data.reshape(shape)
+    mu = x.data.mean(axis=axes, keepdims=True)
+    var = x.data.var(axis=axes, keepdims=True)
     inv = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
     xhat = (x.data - mu) * inv
-    out = xhat * gamma.data + beta.data
+    out = xhat * g_ + beta.data.reshape(shape)
 
     def bwd(g):
-        gct = g * gamma.data
-        gx = inv * (gct - gct.mean(axis=-1, keepdims=True)
-                    - xhat * (gct * xhat).mean(axis=-1, keepdims=True))
-        axes = tuple(range(x.data.ndim - 1))
-        return gx.astype(x.data.dtype), (g * xhat).sum(axis=axes), g.sum(axis=axes)
+        gct = g * g_
+        gx = inv * (gct - gct.mean(axis=axes, keepdims=True)
+                    - xhat * (gct * xhat).mean(axis=axes, keepdims=True))
+        return gx.astype(x.data.dtype), (g * xhat).sum(axis=param_axes), g.sum(axis=param_axes)
 
-    return _apply("layernorm", out, (x, gamma, beta), bwd)
+    return _apply(op, out, (x, gamma, beta), bwd)
+
+
+def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    """Per-token normalization over the last axis, then affine."""
+    return _normalize("layernorm", x, gamma, beta, eps, -1, -1)
 
 
 def instance_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -448,33 +461,9 @@ def instance_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -
     Batch-statistics-free, so batches of 1 behave identically to larger
     batches; used in place of batch norm throughout the CNN branch.
     """
-    if eps <= 0:
-        raise UsageError(f"instance_norm2d: eps must be > 0, got {eps}")
-    _check_dtypes("instance_norm2d", x, gamma, beta)
     if x.ndim != 4:
         raise ShapeError(f"instance_norm2d: expected 4-D input, got {x.shape}")
-    c = x.shape[1]
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise ShapeError(
-            f"instance_norm2d: gamma/beta must have shape ({c},), got {gamma.shape}/{beta.shape}"
-        )
-    g4 = gamma.data.reshape(1, c, 1, 1)
-    b4 = beta.data.reshape(1, c, 1, 1)
-    mu = x.data.mean(axis=(2, 3), keepdims=True)
-    var = x.data.var(axis=(2, 3), keepdims=True)
-    inv = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
-    xhat = (x.data - mu) * inv
-    out = xhat * g4 + b4
-
-    def bwd(g):
-        gct = g * g4
-        gx = inv * (gct - gct.mean(axis=(2, 3), keepdims=True)
-                    - xhat * (gct * xhat).mean(axis=(2, 3), keepdims=True))
-        return (gx.astype(x.data.dtype),
-                (g * xhat).sum(axis=(0, 2, 3)),
-                g.sum(axis=(0, 2, 3)))
-
-    return _apply("instance_norm2d", out, (x, gamma, beta), bwd)
+    return _normalize("instance_norm2d", x, gamma, beta, eps, (2, 3), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -491,23 +480,38 @@ def conv_out_extent(extent: int, k: int, stride: int, pad: int) -> int:
 _IM2COL_BYTES = 4 << 20
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    n = xp.shape[0]
-    return win.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, -1)
+def _windows(op: str, x: np.ndarray, kh: int, kw: int, stride: int, pad: int,
+             fill: float = 0.0) -> np.ndarray:
+    """[N, C, OH, OW, KH, KW] strided view of every window of ``x`` padded with ``fill``."""
+    h, w = x.shape[2:]
+    oh = conv_out_extent(h, kh, stride, pad)
+    ow = conv_out_extent(w, kw, stride, pad)
+    if oh <= 0 or ow <= 0:
+        raise ShapeError(
+            f"{op}: non-positive output extent {oh}x{ow} for input {h}x{w}, "
+            f"kernel {kh}x{kw}, stride {stride}, pad {pad}"
+        )
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=fill)
+    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    return win[:, :, ::stride, ::stride]
 
 
-def _col2im(gcols: np.ndarray, n: int, c: int, h: int, w: int,
-            kh: int, kw: int, stride: int, pad: int, oh: int, ow: int) -> np.ndarray:
-    gwin = gcols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-    gxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=gcols.dtype)
+def _col2im(part: Callable[[int, int], np.ndarray], shape: tuple[int, ...],
+            kh: int, kw: int, stride: int, pad: int, dtype) -> np.ndarray:
+    """Sum window cells back onto an unpadded [N, C, H, W] input.
+
+    ``part(i, j)`` is the [N, C, OH, OW] gradient of cell (i, j) of every
+    window; each offset is one strided add into the padded input.
+    """
+    n, c, h, w = shape
+    oh = conv_out_extent(h, kh, stride, pad)
+    ow = conv_out_extent(w, kw, stride, pad)
+    gxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=dtype)
     for i in range(kh):
         for j in range(kw):
-            gxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += gwin[:, :, :, :, i, j]
-    if pad:
-        return gxp[:, :, pad:pad + h, pad:pad + w]
-    return gxp
+            gxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += part(i, j)
+    return gxp[:, :, pad:pad + h, pad:pad + w] if pad else gxp
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
@@ -523,24 +527,18 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
         raise ShapeError(f"conv2d: input channels {c} != weight channels {cw}")
     if bias is not None and bias.shape != (o,):
         raise ShapeError(f"conv2d: bias must have shape ({o},), got {bias.shape}")
-    oh = conv_out_extent(h, kh, stride, pad)
-    ow = conv_out_extent(wd, kw, stride, pad)
-    if oh <= 0 or ow <= 0:
-        raise ShapeError(
-            f"conv2d: non-positive output extent {oh}x{ow} for input {h}x{wd}, "
-            f"kernel {kh}x{kw}, stride {stride}, pad {pad}"
-        )
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
+    win = _windows("conv2d", x.data, kh, kw, stride, pad)
+    oh, ow = win.shape[2:4]
     rows = oh * ow  # im2col rows per image
     wmat = w.data.reshape(o, -1)
-    step = max(1, _IM2COL_BYTES // (rows * wmat.shape[1] * xp.itemsize))
+    step = max(1, _IM2COL_BYTES // (rows * wmat.shape[1] * x.data.itemsize))
     chunks = range(0, n, step)
     nx, nw = x.requires_grad, w.requires_grad
     keep = nw and _current_tape() is not None  # only the weight gradient reads the columns
     kept = []
-    out2 = np.empty((n * rows, o), dtype=xp.dtype)
+    out2 = np.empty((n * rows, o), dtype=x.data.dtype)
     for b0 in chunks:
-        cols = _im2col(xp[b0:b0 + step], kh, kw, stride, oh, ow)
+        cols = win[b0:b0 + step].transpose(0, 2, 3, 1, 4, 5).reshape(-1, wmat.shape[1])
         np.matmul(cols, wmat.T, out=out2[b0 * rows:(b0 + step) * rows])
         if keep:
             kept.append(cols)
@@ -560,8 +558,9 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
             gx = np.empty(x.shape, dtype=g.dtype)
             for b0 in chunks:
                 gcols = g2[b0 * rows:(b0 + step) * rows] @ wmat
-                gx[b0:b0 + step] = _col2im(gcols, len(gcols) // rows, c, h, wd,
-                                           kh, kw, stride, pad, oh, ow)
+                gwin = gcols.reshape(-1, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+                gx[b0:b0 + step] = _col2im(lambda i, j: gwin[..., i, j], gwin.shape[:2] + (h, wd),
+                                           kh, kw, stride, pad, g.dtype)
         if bias is None:
             return gx, gw
         return gx, gw, g2.sum(axis=0)
@@ -577,36 +576,14 @@ def maxpool2d(x: Tensor, k: int, stride: int | None = None, pad: int = 0) -> Ten
         raise ShapeError(f"maxpool2d: expected 4-D input, got {x.shape}")
     if pad >= k:
         raise UsageError(f"maxpool2d: pad {pad} must be < kernel {k}")
-    n, c, h, w = x.shape
-    oh = conv_out_extent(h, k, stride, pad)
-    ow = conv_out_extent(w, k, stride, pad)
-    if oh <= 0 or ow <= 0:
-        raise ShapeError(
-            f"maxpool2d: non-positive output extent {oh}x{ow} for input {h}x{w}, "
-            f"kernel {k}, stride {stride}, pad {pad}"
-        )
-    if pad:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
-                    constant_values=-np.inf)
-    else:
-        xp = x.data
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride].reshape(n, c, oh, ow, k * k)
+    win = _windows("maxpool2d", x.data, k, k, stride, pad, fill=-np.inf)
+    win = win.reshape(win.shape[:4] + (k * k,))
     am = win.argmax(axis=-1)
     out = np.take_along_axis(win, am[..., None], axis=-1)[..., 0]
 
     def bwd(g):
-        # route each window's gradient to its argmax cell, one (i, j) offset
-        # of the window at a time so every scatter is a strided add
-        gxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=g.dtype)
-        for i in range(k):
-            for j in range(k):
-                sel = am == i * k + j
-                if sel.any():
-                    gxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += g * sel
-        if pad:
-            return (gxp[:, :, pad:pad + h, pad:pad + w],)
-        return (gxp,)
+        # route each window's gradient to its (first) argmax cell
+        return (_col2im(lambda i, j: g * (am == i * k + j), x.shape, k, k, stride, pad, g.dtype),)
 
     return _apply("maxpool2d", np.ascontiguousarray(out), (x,), bwd)
 
@@ -625,14 +602,9 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         raise UsageError(f"cross_entropy: expected {b} labels, got shape {y.shape}")
     if y.size and (y.min() < 0 or y.max() >= k):
         raise UsageError(f"cross_entropy: label out of range [0, {k})")
-    z = logits.data
-    m = z.max(axis=1, keepdims=True)
-    e = np.exp(z - m)
-    se = e.sum(axis=1, keepdims=True)
-    logp = (z - m) - np.log(se)
-    per_sample = -logp[np.arange(b), y]
-    loss = per_sample.mean()
-
+    shifted, e, se = _shifted_exp(logits.data, 1)
+    logp = shifted - np.log(se)
+    loss = (-logp[np.arange(b), y]).mean()
     probs = e / se
 
     def bwd(g):
@@ -641,7 +613,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         gl /= b
         return (gl * g,)
 
-    return _apply("cross_entropy", np.asarray(loss, dtype=z.dtype), (logits,), bwd)
+    return _apply("cross_entropy", np.asarray(loss, dtype=logits.data.dtype), (logits,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .errors import ConfigError, FormatError, InputError
 from .pipeline import Manifest, read_ppm, _resize_array
 from .resnet import ResNetBranch, ResNetConfig
 from .tensor import Tape, Tensor, NumericsError, UsageError, cross_entropy
-from .util import run_all, write_atomic
+from .util import check_int_fields, run_all, write_atomic
 from .vit import ChannelSpec, ViTBranch, ViTConfig
 
 ARM_ORDER = ("resnet", "vit", "vit-conv", "vit-2ch", "ih-vit")
@@ -305,6 +305,8 @@ def build_arm(name: str, vit_cfg: ViTConfig, resnet_cfg: ResNetConfig,
 
 def arm_from_checkpoint(path) -> Arm:
     raw, config = load_checkpoint(path)
+    if not isinstance(config, dict):
+        raise FormatError(f"{path}: header config is not a JSON object: {config!r:.60}")
     name = config.get("arm")
     if name not in ARM_ORDER:
         raise ConfigError(f"checkpoint has unknown arm {name!r}")
@@ -312,6 +314,8 @@ def arm_from_checkpoint(path) -> Arm:
         vit_cfg = ViTConfig(**config["vit"]) if config.get("vit") else ViTConfig()
         resnet_cfg = ResNetConfig(**config["resnet"]) if config.get("resnet") else ResNetConfig.desk()
         fusion = FusionWeights(**config.get("fusion", {}))
+        for cfg in (vit_cfg, resnet_cfg, fusion):
+            check_int_fields(cfg)
     except (TypeError, ValueError) as e:  # a header value of the wrong type or shape
         raise FormatError(f"{path}: invalid model config in header: {e}") from None
     arm = build_arm(name, vit_cfg, resnet_cfg, fusion=fusion, seed=0)
@@ -414,11 +418,8 @@ class MetricsReport:
                   "error" if "error" in r else f"{100 * r['accuracy']:.2f}%",
                   f"{r['reference_acc']:.2f}%"] for r in self.rows],
             )
-        k = len(self.confusion)
-        head = ["true\\pred"] + [str(j) for j in range(k)]
-        body = [[str(i)] + [str(v) for v in row] for i, row in enumerate(self.confusion)]
         return (f"arm: {self.arm}  accuracy: {100 * self.accuracy:.2f}%  "
-                f"epochs: {self.epochs_run}\n" + format_table(head, body))
+                f"epochs: {self.epochs_run}\n" + confusion_table(self.confusion))
 
 
 def format_table(header: list[str], rows: list[list[str]]) -> str:
@@ -427,6 +428,13 @@ def format_table(header: list[str], rows: list[list[str]]) -> str:
         return "  ".join(str(v).ljust(w) for v, w in zip(row, widths)).rstrip()
     sep = "  ".join("-" * w for w in widths)
     return "\n".join([fmt(header), sep] + [fmt(r) for r in rows])
+
+
+def confusion_table(confusion) -> str:
+    """Rows are true classes, columns predicted ones."""
+    head = ["true\\pred"] + [str(j) for j in range(len(confusion))]
+    return format_table(head, [[str(i)] + [str(v) for v in row]
+                               for i, row in enumerate(confusion)])
 
 
 def config_hash(obj) -> str:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import uuid
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -64,3 +65,19 @@ def write_atomic(path, chunks: Iterable[bytes]) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def check_int_fields(cfg) -> None:
+    """Raise ``TypeError`` where a dataclass field whose default is an int
+    holds anything but an int, in ``cfg`` and the dataclasses it nests.
+
+    JSON has one number type, so ``1.5`` or ``true`` can reach a count or
+    a size; bool is ruled out by type, as it subclasses int.
+    """
+    for f in fields(cfg):
+        v = getattr(cfg, f.name)
+        if type(f.default) is int and type(v) is not int:
+            raise TypeError(f"{type(cfg).__name__}.{f.name} must be an integer, got {v!r}")
+        for item in v if isinstance(v, tuple) else (v,):
+            if is_dataclass(item):
+                check_int_fields(item)

@@ -134,26 +134,17 @@ def patchify(img: Tensor, patch: int) -> Tensor:
 # in-patch embedding
 
 
-def conv_block_embed(patches: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """conv(k7,s2,p3) -> relu -> maxpool(k2,s2,p1) -> flatten.
+def conv_embed(patches: Tensor, w: Tensor, b: Tensor, pool: bool) -> Tensor:
+    """conv(k7,s2,p3) -> relu [-> maxpool(k2,s2,p1)] -> flatten.
 
-    For 16x16 patches the stage trace is 16 -> 8 -> 5 and the output
-    width is 75 per patch.
+    With the pool, 16x16 patches trace 16 -> 8 -> 5 and embed to width 75;
+    without it, 32x32 patches trace 32 -> 16 and embed to width 768.
     """
     if patches.ndim != 4:
-        raise ShapeError(f"conv_block_embed: expected [M,3,P,P], got {patches.shape}")
-    y = conv2d(patches, w, b, stride=2, pad=3)
-    y = relu(y)
-    y = maxpool2d(y, 2, 2, 1)
-    return reshape(y, (patches.shape[0], -1))
-
-
-def conv_only_embed(patches: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """conv(k7,s2,p3) -> relu -> flatten; 32 -> 16 spatial, width 768."""
-    if patches.ndim != 4:
-        raise ShapeError(f"conv_only_embed: expected [M,3,P,P], got {patches.shape}")
-    y = conv2d(patches, w, b, stride=2, pad=3)
-    y = relu(y)
+        raise ShapeError(f"conv_embed: expected [M,3,P,P], got {patches.shape}")
+    y = relu(conv2d(patches, w, b, stride=2, pad=3))
+    if pool:
+        y = maxpool2d(y, 2, 2, 1)
     return reshape(y, (patches.shape[0], -1))
 
 
@@ -234,14 +225,13 @@ class ViTBranch:
 
     def __init__(self, config: ViTConfig, seed: int = 0, dtype: str = "f32"):
         self.config = config
-        self.dtype = dtype
         rng = np.random.default_rng(np.random.SeedSequence((seed, 10)))
         d = config.dim
         p: dict[str, np.ndarray] = {"cls": trunc_normal(rng, (d,))}
         for i, ch in enumerate(config.channels):
             n = ch.token_count(config.image_size)
             p[f"ch{i}.pos"] = trunc_normal(rng, (n + 1, d))
-            if ch.embed in ("convblock", "conv_only"):
+            if ch.embed != "linear":
                 p[f"ch{i}.conv.w"] = kaiming_uniform(rng, (3, 3, 7, 7))
                 p[f"ch{i}.conv.b"] = np.zeros(3)
             p[f"ch{i}.unify"] = trunc_normal(rng, (ch.raw_dim, d))
@@ -261,9 +251,6 @@ class ViTBranch:
         p["head.b"] = np.zeros(config.classes)
         self.params = {k: Tensor(v, dtype=dtype, requires_grad=True) for k, v in p.items()}
 
-    def parameters(self) -> dict[str, Tensor]:
-        return self.params
-
     def embed_channel(self, images: Tensor, index: int) -> Tensor:
         """Patchify + embed + unify one channel; [B,3,S,S] -> [B, n, dim]."""
         cfg = self.config
@@ -272,16 +259,11 @@ class ViTBranch:
         n = ch.token_count(cfg.image_size)
         patches = patchify(images, ch.patch)
         flat_patches = reshape(patches, (bsz * n, 3, ch.patch, ch.patch))
-        if ch.embed == "convblock":
-            raw = conv_block_embed(flat_patches,
-                                   self.params[f"ch{index}.conv.w"],
-                                   self.params[f"ch{index}.conv.b"])
-        elif ch.embed == "conv_only":
-            raw = conv_only_embed(flat_patches,
-                                  self.params[f"ch{index}.conv.w"],
-                                  self.params[f"ch{index}.conv.b"])
-        else:
+        if ch.embed == "linear":
             raw = reshape(flat_patches, (bsz * n, ch.raw_dim))
+        else:
+            raw = conv_embed(flat_patches, self.params[f"ch{index}.conv.w"],
+                             self.params[f"ch{index}.conv.b"], pool=ch.embed == "convblock")
         unified = unify(raw, self.params[f"ch{index}.unify"])
         return reshape(unified, (bsz, n, cfg.dim))
 

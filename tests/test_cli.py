@@ -102,6 +102,22 @@ class TestAugmentSplit:
                      "--seed", "1", "--force"]) == 0
 
 
+def checkpoint_header(run) -> dict:
+    blob = (run / "vit-conv.ckpt").read_bytes()
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    return json.loads(blob[16:16 + hlen])
+
+
+def with_header(run, tmp_path, header):
+    """A copy of the trained checkpoint whose JSON header is ``header``."""
+    blob = (run / "vit-conv.ckpt").read_bytes()
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    raw = json.dumps(header).encode()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + hlen:])
+    return bad
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("cli_train")
@@ -137,7 +153,12 @@ class TestTrainEval:
                    "--out", str(run), "--epochs", "0"])
         assert rc == 2
 
-    @pytest.mark.parametrize("override", ["train.epochs=abc", "model.vit.channels=[5]"])
+    @pytest.mark.parametrize("override", [
+        "train.epochs=abc", "model.vit.channels=[5]",
+        # a field whose default is an int takes no float and no bool
+        "train.epochs=1.5", "train.batch_size=2.5", "train.seed=true", "model.vit.depth=1.0",
+        'model.vit.channels=[{"patch": 16.0, "embed": "linear"}]',
+    ])
     def test_mistyped_config_value_exits_2(self, trained, override, capsys):
         data, run = trained
         rc = main(["train", "--manifest", str(data / "manifest.json"), "--arm", "vit",
@@ -162,29 +183,42 @@ class TestTrainEval:
 
     def test_eval_on_checkpoint_entry_without_offset_exits_3(self, trained, tmp_path, capsys):
         data, run = trained
-        blob = (run / "vit-conv.ckpt").read_bytes()
-        (hlen,) = struct.unpack("<Q", blob[8:16])
-        header = json.loads(blob[16:16 + hlen])
+        header = checkpoint_header(run)
         del header["tensors"][0]["offset"]
-        raw = json.dumps(header).encode()
-        bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + hlen:])
+        bad = with_header(run, tmp_path, header)
         assert main(["eval", "--checkpoint", str(bad),
                      "--manifest", str(data / "manifest.json")]) == 3
         assert "malformed tensor entry" in capsys.readouterr().err
 
     def test_eval_on_checkpoint_with_unknown_vit_key_exits_3(self, trained, tmp_path, capsys):
         data, run = trained
-        blob = (run / "vit-conv.ckpt").read_bytes()
-        (hlen,) = struct.unpack("<Q", blob[8:16])
-        header = json.loads(blob[16:16 + hlen])
+        header = checkpoint_header(run)
         header["config"]["vit"]["depthh"] = 2
-        raw = json.dumps(header).encode()
-        bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + hlen:])
+        bad = with_header(run, tmp_path, header)
         assert main(["eval", "--checkpoint", str(bad),
                      "--manifest", str(data / "manifest.json")]) == 3
         assert "depthh" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("keys, value, message", [
+        ((), [], "header is not a JSON object"),
+        (("config",), 5, "config is not a JSON object"),
+        (("config", "vit", "depth"), 1.0, "depth must be an integer"),
+    ])
+    def test_eval_on_mistyped_header_exits_3(self, trained, tmp_path, capsys,
+                                             keys, value, message):
+        data, run = trained
+        header = checkpoint_header(run)
+        if keys:
+            node = header
+            for k in keys[:-1]:
+                node = node[k]
+            node[keys[-1]] = value
+        else:
+            header = value
+        bad = with_header(run, tmp_path, header)
+        assert main(["eval", "--checkpoint", str(bad),
+                     "--manifest", str(data / "manifest.json")]) == 3
+        assert message in capsys.readouterr().err
 
 
 class TestVerify:

@@ -129,6 +129,35 @@ class TestMaxPool:
         out = T.maxpool2d(x, 2, 2, 1)
         assert out.data.min() == -100.0
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_backward_on_overlapping_stem_pool(self, seed):
+        # the ResNet stem's pool: k=3, s=2, p=1 windows overlap, and values
+        # drawn from {0, 1, 2} plant ties; each window's gradient goes to its
+        # first max cell in row-major order, as argmax picks it
+        k, s, p = 3, 2, 1
+        rng = np.random.default_rng(60 + seed)
+        x = rng.integers(0, 3, size=(2, 2, 9, 8)).astype(np.float64)
+        xt = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            out = T.maxpool2d(xt, k, s, p)
+            g = rng.integers(1, 9, size=out.shape).astype(np.float64)  # exact sums
+            loss = T.sum_(T.mul(out, Tensor(g)))
+        tape.backward(loss)
+
+        want = np.zeros_like(x)
+        hits = np.zeros(x.shape, dtype=int)
+        ties = 0
+        for n, c, i, j in np.ndindex(out.shape):
+            cells = [(r, q) for r in range(i * s - p, i * s - p + k)
+                     for q in range(j * s - p, j * s - p + k)
+                     if 0 <= r < x.shape[2] and 0 <= q < x.shape[3]]
+            first = max(cells, key=lambda rq: x[n, c][rq])  # max keeps the first maximum
+            ties += sum(x[n, c][rq] == x[n, c][first] for rq in cells) > 1
+            want[n, c][first] += g[n, c, i, j]
+            hits[n, c][first] += 1
+        assert ties > 0 and hits.max() > 1  # the case under test really occurs
+        assert np.array_equal(xt.grad, want)
+
 
 class TestActivations:
     def test_relu_values(self):

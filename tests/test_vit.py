@@ -12,8 +12,7 @@ from ihvit.vit import (
     ViTBranch,
     ViTConfig,
     compression_ratio,
-    conv_block_embed,
-    conv_only_embed,
+    conv_embed,
     element_saving,
     format_ratio_percent,
     multi_head_attention,
@@ -88,28 +87,28 @@ class TestEmbeds:
         patches = Tensor(rng.random((7, 3, 16, 16)).astype(np.float32))
         w = Tensor(rng.normal(size=(3, 3, 7, 7)).astype(np.float32) * 0.1)
         b = Tensor(np.zeros(3, dtype=np.float32))
-        out = conv_block_embed(patches, w, b)
+        out = conv_embed(patches, w, b, pool=True)
         assert out.shape == (7, 75)
 
     def test_conv_block_zero_input_zero_bias(self):
         patches = Tensor(np.zeros((2, 3, 16, 16), dtype=np.float32))
         w = Tensor(np.random.default_rng(0).normal(size=(3, 3, 7, 7)).astype(np.float32))
         b = Tensor(np.zeros(3, dtype=np.float32))
-        assert np.abs(conv_block_embed(patches, w, b).data).max() == 0.0
+        assert np.abs(conv_embed(patches, w, b, pool=True).data).max() == 0.0
 
     def test_conv_only_width_768(self):
         rng = np.random.default_rng(4)
         patches = Tensor(rng.random((5, 3, 32, 32)).astype(np.float32))
         w = Tensor(rng.normal(size=(3, 3, 7, 7)).astype(np.float32) * 0.1)
         b = Tensor(np.zeros(3, dtype=np.float32))
-        out = conv_only_embed(patches, w, b)
+        out = conv_embed(patches, w, b, pool=False)
         assert out.shape == (5, 768)
 
     def test_conv_only_zero_input(self):
         patches = Tensor(np.zeros((1, 3, 32, 32), dtype=np.float32))
         w = Tensor(np.ones((3, 3, 7, 7), dtype=np.float32))
         b = Tensor(np.zeros(3, dtype=np.float32))
-        assert np.abs(conv_only_embed(patches, w, b).data).max() == 0.0
+        assert np.abs(conv_embed(patches, w, b, pool=False).data).max() == 0.0
 
 
 class TestUnify:
