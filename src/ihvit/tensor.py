@@ -327,7 +327,7 @@ def slice_(a: Tensor, key) -> Tensor:
 
     def bwd(g):
         full = np.zeros(shape, dtype=g.dtype)
-        full[key] = g
+        np.add.at(full, key, g)  # a repeated index takes the sum of its gradients
         return (full,)
 
     return _apply("slice", np.ascontiguousarray(out), (a,), bwd, check=False)
@@ -387,17 +387,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    return _apply("relu", np.where(mask, a.data, 0), (a,), lambda g: (g * mask,))
+    x = a.data
+    return _apply("relu", np.maximum(x, 0), (a,), lambda g: (g * (x > 0),))
 
 
 def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian-CDF form x * Phi(x), not the tanh approximation."""
     x = a.data
     phi_cdf = 0.5 * (1.0 + erf(x * x.dtype.type(_INV_SQRT2)))
-    pdf = np.exp(-0.5 * x * x) * x.dtype.type(_INV_SQRT2PI)
-    local = phi_cdf + x * pdf
-    return _apply("gelu", x * phi_cdf, (a,), lambda g: (g * local,))
+
+    def bwd(g):
+        pdf = np.exp(-0.5 * x * x) * x.dtype.type(_INV_SQRT2PI)
+        return (g * (phi_cdf + x * pdf),)
+
+    return _apply("gelu", x * phi_cdf, (a,), bwd)
 
 
 def _shifted_exp(z: np.ndarray, axis: int):
@@ -409,8 +412,8 @@ def _shifted_exp(z: np.ndarray, axis: int):
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    _, e, se = _shifted_exp(a.data, axis)
-    out = e / se
+    _, out, se = _shifted_exp(a.data, axis)
+    out /= se
 
     def bwd(g):
         return ((g - (g * out).sum(axis=axis, keepdims=True)) * out,)
@@ -435,10 +438,10 @@ def _normalize(op: str, x: Tensor, gamma: Tensor, beta: Tensor, eps: float,
     shape = tuple(c if i == ch else 1 for i in range(x.ndim))
     param_axes = tuple(i for i in range(x.ndim) if i != ch)
     g_ = gamma.data.reshape(shape)
-    mu = x.data.mean(axis=axes, keepdims=True)
-    var = x.data.var(axis=axes, keepdims=True)
-    inv = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
-    xhat = (x.data - mu) * inv
+    xhat = x.data - x.data.mean(axis=axes, keepdims=True)
+    # the same sums, in the same order, as np.var
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=axes, keepdims=True) + x.data.dtype.type(eps))
+    xhat *= inv
     out = xhat * g_ + beta.data.reshape(shape)
 
     def bwd(g):
@@ -529,43 +532,43 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
         raise ShapeError(f"conv2d: bias must have shape ({o},), got {bias.shape}")
     win = _windows("conv2d", x.data, kh, kw, stride, pad)
     oh, ow = win.shape[2:4]
-    rows = oh * ow  # im2col rows per image
+    pos = oh * ow  # output positions per image: the im2col columns
     wmat = w.data.reshape(o, -1)
-    step = max(1, _IM2COL_BYTES // (rows * wmat.shape[1] * x.data.itemsize))
+    step = max(1, _IM2COL_BYTES // (pos * wmat.shape[1] * x.data.itemsize))
     chunks = range(0, n, step)
     nx, nw = x.requires_grad, w.requires_grad
     keep = nw and _current_tape() is not None  # only the weight gradient reads the columns
     kept = []
-    out2 = np.empty((n * rows, o), dtype=x.data.dtype)
+    out = np.empty((n, o, pos), dtype=x.data.dtype)
     for b0 in chunks:
-        cols = win[b0:b0 + step].transpose(0, 2, 3, 1, 4, 5).reshape(-1, wmat.shape[1])
-        np.matmul(cols, wmat.T, out=out2[b0 * rows:(b0 + step) * rows])
+        # [n, C*KH*KW, OH*OW] in the input's own layout: for a 1x1 stride-1
+        # conv of a contiguous input this reshape is a view, not a copy
+        cols = win[b0:b0 + step].transpose(0, 1, 4, 5, 2, 3).reshape(-1, wmat.shape[1], pos)
+        np.matmul(wmat, cols, out=out[b0:b0 + step])
         if keep:
             kept.append(cols)
     if bias is not None:
-        out2 += bias.data
-    out = out2.reshape(n, oh, ow, o).transpose(0, 3, 1, 2)
+        out += bias.data[:, None]
 
     def bwd(g):
-        g2 = g.transpose(0, 2, 3, 1).reshape(-1, o)
+        g3 = g.reshape(n, o, pos)
         gw = gx = None
         if nw:
             gw = np.zeros_like(wmat)
             for b0, cols in zip(chunks, kept):
-                gw += g2[b0 * rows:(b0 + step) * rows].T @ cols
+                gw += (g3[b0:b0 + step] @ cols.swapaxes(1, 2)).sum(axis=0)
             gw = gw.reshape(w.shape)
         if nx:
             gx = np.empty(x.shape, dtype=g.dtype)
             for b0 in chunks:
-                gcols = g2[b0 * rows:(b0 + step) * rows] @ wmat
-                gwin = gcols.reshape(-1, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-                gx[b0:b0 + step] = _col2im(lambda i, j: gwin[..., i, j], gwin.shape[:2] + (h, wd),
+                gcols = (wmat.T @ g3[b0:b0 + step]).reshape(-1, c, kh, kw, oh, ow)
+                gx[b0:b0 + step] = _col2im(lambda i, j: gcols[:, :, i, j], gcols.shape[:2] + (h, wd),
                                            kh, kw, stride, pad, g.dtype)
         if bias is None:
             return gx, gw
-        return gx, gw, g2.sum(axis=0)
+        return gx, gw, g3.sum(axis=(0, 2))
 
-    return _apply("conv2d", np.ascontiguousarray(out), tensors, bwd)
+    return _apply("conv2d", out.reshape(n, o, oh, ow), tensors, bwd)
 
 
 def maxpool2d(x: Tensor, k: int, stride: int | None = None, pad: int = 0) -> Tensor:
@@ -577,15 +580,25 @@ def maxpool2d(x: Tensor, k: int, stride: int | None = None, pad: int = 0) -> Ten
     if pad >= k:
         raise UsageError(f"maxpool2d: pad {pad} must be < kernel {k}")
     win = _windows("maxpool2d", x.data, k, k, stride, pad, fill=-np.inf)
-    win = win.reshape(win.shape[:4] + (k * k,))
-    am = win.argmax(axis=-1)
-    out = np.take_along_axis(win, am[..., None], axis=-1)[..., 0]
+    cells = [win[..., i, j] for i in range(k) for j in range(k)]
+    out = cells[0].copy()
+    for cell in cells[1:]:
+        np.maximum(out, cell, out=out)
 
     def bwd(g):
-        # route each window's gradient to its (first) argmax cell
-        return (_col2im(lambda i, j: g * (am == i * k + j), x.shape, k, k, stride, pad, g.dtype),)
+        # _col2im visits the cells in row-major order; each window's gradient
+        # goes to the first cell equal to its max, as argmax would pick it
+        open_ = np.ones(out.shape, dtype=bool)
 
-    return _apply("maxpool2d", np.ascontiguousarray(out), (x,), bwd)
+        def part(i, j):
+            hit = win[..., i, j] == out
+            hit &= open_
+            np.logical_xor(open_, hit, out=open_)  # hit lies in open_: close its windows
+            return g * hit
+
+        return (_col2im(part, x.shape, k, k, stride, pad, g.dtype),)
+
+    return _apply("maxpool2d", out, (x,), bwd)
 
 
 # ---------------------------------------------------------------------------

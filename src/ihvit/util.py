@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 import uuid
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -67,17 +67,32 @@ def write_atomic(path, chunks: Iterable[bytes]) -> None:
         raise
 
 
+def _leaves(v) -> list:
+    """The scalars in ``v``, through nested tuples and dict values."""
+    if isinstance(v, dict):
+        v = tuple(v.values())
+    if isinstance(v, tuple):
+        return [leaf for item in v for leaf in _leaves(item)]
+    return [v]
+
+
 def check_int_fields(cfg) -> None:
-    """Raise ``TypeError`` where a dataclass field whose default is an int
-    holds anything but an int, in ``cfg`` and the dataclasses it nests.
+    """Raise ``TypeError`` where a dataclass field whose default is an int,
+    or a tuple or dict of ints, holds anything but ints there, in ``cfg``
+    and the dataclasses it nests.
 
     JSON has one number type, so ``1.5`` or ``true`` can reach a count or
     a size; bool is ruled out by type, as it subclasses int.
     """
     for f in fields(cfg):
         v = getattr(cfg, f.name)
-        if type(f.default) is int and type(v) is not int:
-            raise TypeError(f"{type(cfg).__name__}.{f.name} must be an integer, got {v!r}")
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        want = _leaves(default)
+        if want and all(type(d) is int for d in want):
+            bad = [x for x in _leaves(v) if type(x) is not int]
+            if bad:
+                must = "be an integer" if type(default) is int else "hold only integers"
+                raise TypeError(f"{type(cfg).__name__}.{f.name} must {must}, got {v!r}")
         for item in v if isinstance(v, tuple) else (v,):
             if is_dataclass(item):
                 check_int_fields(item)

@@ -341,6 +341,48 @@ def test_conv2d_gradients_across_im2col_chunks(monkeypatch, name, mk, h64, h32, 
         assert _run_instances(make, 10, "f32", h32) <= 1e-3
 
 
+def mk_conv1x1(r, dt, wrt, stride, bias):
+    xin = Tensor(r.uniform(0.5, 1.5, (2, 3, 5, 5)), dtype=dt)
+    w = Tensor(r.uniform(0.1, 0.5, (4, 3, 1, 1)), dtype=dt)
+    b = Tensor(r.uniform(0.0, 0.2, 4), dtype=dt) if bias else None
+    oh = T.conv_out_extent(5, 1, stride, 0)
+    c = Tensor(r.uniform(0.5, 1.0, (2, 4, oh, oh)), dtype=dt)
+    if wrt == "x":
+        return (lambda z: T.sum_(T.mul(T.conv2d(z, w, b, stride), c))), xin
+    return (lambda z: T.sum_(T.mul(T.conv2d(xin, z, b, stride), c))), w
+
+
+@pytest.mark.parametrize("one_image_chunks", [False, True])
+@pytest.mark.parametrize("dtype", ["f64", "f32"])
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("wrt", ["x", "w"])
+def test_conv2d_1x1_gradients(monkeypatch, wrt, stride, bias, dtype, one_image_chunks):
+    # a 1x1 stride-1 conv of a contiguous input takes its im2col columns as
+    # a view of the input; the conv2d tolerances of OP_SUITE apply
+    if one_image_chunks:
+        monkeypatch.setattr(T, "_IM2COL_BYTES", 1)
+    make = functools.partial(mk_conv1x1, wrt=wrt, stride=stride, bias=bias)
+    if dtype == "f64":
+        assert _run_instances(make, 10, "f64", 1e-5) <= 1e-5
+    else:
+        assert _run_instances(make, 10, "f32", 0.05) <= 1e-3
+
+
+def test_slice_gradient_sums_repeated_indices():
+    rng = np.random.default_rng(5)
+    idx = np.concatenate([[0, 0, 2], rng.integers(0, 6, size=9)])
+    c = rng.integers(1, 9, size=(idx.size, 3)).astype(np.float64)  # exact sums
+    x = Tensor(rng.normal(size=(6, 3)), dtype="f64", requires_grad=True)
+    with Tape() as tape:
+        loss = T.sum_(T.mul(x[idx], Tensor(c)))
+    tape.backward(loss)
+    want = np.zeros((6, 3))
+    for row, i in enumerate(idx):
+        want[i] += c[row]
+    assert np.array_equal(x.grad, want)
+
+
 def test_composite_conv_relu_matmul_ce_pinned_steps():
     # conv -> relu -> matmul -> cross_entropy at the conventional step sizes
     # per dtype.  Class projections are centered (+-gap/2) so logits stay

@@ -61,6 +61,15 @@ class TestGen:
         err = capsys.readouterr().err
         assert "line" in err and "column" in err
 
+    @pytest.mark.parametrize("override", [
+        "synth.resolutions=[[64.5,64]]", 'synth.counts={"normal":1.5}',
+    ])
+    def test_float_in_int_collection_exits_2(self, tmp_path, override, capsys):
+        # an int inside a tuple or map field is checked like an int field
+        rc = main(["gen", "--out", str(tmp_path / "x")] + SMALL_SYNTH + ["--set", override])
+        assert rc == 2
+        assert "must hold only integers" in capsys.readouterr().err
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         bad = tmp_path / "cfg.json"
         bad.write_text('{"synht": {}}')
@@ -166,6 +175,16 @@ class TestTrainEval:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", [
+        "model.resnet.stage_blocks=[1.5,1,1,1]", "model.resnet.stage_widths=[32.0,64,128,256]",
+    ])
+    def test_float_in_int_collection_exits_2(self, trained, override, capsys):
+        data, run = trained
+        rc = main(["train", "--manifest", str(data / "manifest.json"), "--arm", "resnet",
+                   "--out", str(run), "--set", override])
+        assert rc == 2
+        assert "must hold only integers" in capsys.readouterr().err
+
     def test_unknown_arm_exits_2(self, trained):
         data, run = trained
         with pytest.raises(SystemExit) as exc:
@@ -203,6 +222,7 @@ class TestTrainEval:
         ((), [], "header is not a JSON object"),
         (("config",), 5, "config is not a JSON object"),
         (("config", "vit", "depth"), 1.0, "depth must be an integer"),
+        (("config", "resnet"), {"stage_blocks": [1.5, 1, 1, 1]}, "stage_blocks must hold only"),
     ])
     def test_eval_on_mistyped_header_exits_3(self, trained, tmp_path, capsys,
                                              keys, value, message):

@@ -96,6 +96,20 @@ class TestConv2d:
         got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, pad=pad).data
         assert np.abs(got - conv_oracle(x, w, b, stride, pad)).max() <= 1e-5
 
+    @pytest.mark.parametrize("one_image_chunks", [False, True])
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_1x1_oracle(self, monkeypatch, stride, bias, one_image_chunks):
+        # at stride 1 the im2col columns are the input itself, not a copy
+        if one_image_chunks:
+            monkeypatch.setattr(T, "_IM2COL_BYTES", 1)
+        rng = np.random.default_rng(40 + stride)
+        x = rng.normal(size=(3, 5, 7, 6)).astype(np.float32)
+        w = rng.normal(size=(4, 5, 1, 1)).astype(np.float32)
+        b = rng.normal(size=4).astype(np.float32) if bias else None
+        got = T.conv2d(Tensor(x), Tensor(w), None if b is None else Tensor(b), stride=stride).data
+        assert np.abs(got - conv_oracle(x, w, b, stride, 0)).max() <= 1e-5
+
     def test_nonpositive_extent_rejected(self):
         x = Tensor(np.zeros((1, 1, 3, 3), dtype=np.float32))
         w = Tensor(np.zeros((1, 1, 5, 5), dtype=np.float32))
@@ -131,32 +145,68 @@ class TestMaxPool:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_backward_on_overlapping_stem_pool(self, seed):
-        # the ResNet stem's pool: k=3, s=2, p=1 windows overlap, and values
-        # drawn from {0, 1, 2} plant ties; each window's gradient goes to its
-        # first max cell in row-major order, as argmax picks it
-        k, s, p = 3, 2, 1
-        rng = np.random.default_rng(60 + seed)
-        x = rng.integers(0, 3, size=(2, 2, 9, 8)).astype(np.float64)
-        xt = Tensor(x, requires_grad=True)
-        with Tape() as tape:
-            out = T.maxpool2d(xt, k, s, p)
-            g = rng.integers(1, 9, size=out.shape).astype(np.float64)  # exact sums
-            loss = T.sum_(T.mul(out, Tensor(g)))
-        tape.backward(loss)
-
-        want = np.zeros_like(x)
-        hits = np.zeros(x.shape, dtype=int)
-        ties = 0
-        for n, c, i, j in np.ndindex(out.shape):
-            cells = [(r, q) for r in range(i * s - p, i * s - p + k)
-                     for q in range(j * s - p, j * s - p + k)
-                     if 0 <= r < x.shape[2] and 0 <= q < x.shape[3]]
-            first = max(cells, key=lambda rq: x[n, c][rq])  # max keeps the first maximum
-            ties += sum(x[n, c][rq] == x[n, c][first] for rq in cells) > 1
-            want[n, c][first] += g[n, c, i, j]
-            hits[n, c][first] += 1
+        # the ResNet stem's pool: k=3, s=2, p=1 windows overlap
+        got, want, ties, hits = _routed_pool_grad(60 + seed, (2, 2, 9, 8), 3, 2, 1)
         assert ties > 0 and hits.max() > 1  # the case under test really occurs
-        assert np.array_equal(xt.grad, want)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_backward_on_vit_embed_pool(self, seed):
+        # the ViT convblock embed's pool: k=2, s=2, p=1 on the 8x8 conv
+        # output, so the edge windows hold one or two real cells
+        got, want, ties, _ = _routed_pool_grad(70 + seed, (2, 3, 8, 8), 2, 2, 1)
+        assert ties > 0
+        assert np.array_equal(got, want)
+
+
+def _routed_pool_grad(seed, shape, k, s, p):
+    """maxpool2d's input gradient next to a brute-force loop that adds each
+    window's gradient to that window's first max cell in row-major order.
+
+    Values drawn from {0, 1, 2} plant ties; integer output gradients keep
+    every sum exact.  Also returns how many windows tie and how many
+    windows route to each cell.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 3, size=shape).astype(np.float64)
+    xt = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        out = T.maxpool2d(xt, k, s, p)
+        g = rng.integers(1, 9, size=out.shape).astype(np.float64)
+        loss = T.sum_(T.mul(out, Tensor(g)))
+    tape.backward(loss)
+
+    want = np.zeros_like(x)
+    hits = np.zeros(x.shape, dtype=int)
+    ties = 0
+    for n, c, i, j in np.ndindex(out.shape):
+        cells = [(r, q) for r in range(i * s - p, i * s - p + k)
+                 for q in range(j * s - p, j * s - p + k)
+                 if 0 <= r < x.shape[2] and 0 <= q < x.shape[3]]
+        first = max(cells, key=lambda rq: x[n, c][rq])  # max keeps the first maximum
+        ties += sum(x[n, c][rq] == x[n, c][first] for rq in cells) > 1
+        want[n, c][first] += g[n, c, i, j]
+        hits[n, c][first] += 1
+    return xt.grad, want, ties, hits
+
+
+@pytest.mark.parametrize("op", ["relu", "gelu", "maxpool2d", "conv2d", "softmax"])
+def test_output_bytes_do_not_depend_on_tape(op):
+    # these ops keep, or leave for backward, terms only a recording tape needs
+    rng = np.random.default_rng(80)
+    x = rng.normal(size=(2, 4, 9, 9)).astype(np.float32)
+    w = rng.normal(size=(3, 4, 3, 3)).astype(np.float32)
+    run = {
+        "relu": T.relu,
+        "gelu": T.gelu,
+        "maxpool2d": lambda t: T.maxpool2d(t, 3, 2, 1),
+        "conv2d": lambda t: T.conv2d(t, Tensor(w, requires_grad=True), stride=2, pad=1),
+        "softmax": lambda t: T.softmax(t, axis=-1),
+    }[op]
+    free = run(Tensor(x, requires_grad=True)).data
+    with Tape():
+        recorded = run(Tensor(x, requires_grad=True)).data
+    assert recorded.dtype == free.dtype and recorded.tobytes() == free.tobytes()
 
 
 class TestActivations:
