@@ -155,7 +155,10 @@ class Manifest:
 
     @classmethod
     def load(cls, path) -> "Manifest":
-        obj = json.loads(Path(path).read_text())
+        try:
+            obj = json.loads(Path(path).read_bytes().decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise FormatError(f"{path}: unreadable manifest: {e}") from None
         if not isinstance(obj, dict):
             raise FormatError(f"{path}: manifest must be a JSON object")
         if obj.get("version") != MANIFEST_SCHEMA_VERSION:

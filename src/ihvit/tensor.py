@@ -9,8 +9,9 @@ global graph.  A tape is created per training step::
         loss = cross_entropy(matmul(x, w), labels)
     tape.backward(loss)      # populates .grad on reachable tensors
 
-Every forward output is checked for NaN/Inf; a non-finite value aborts
-the step with a diagnostic naming the operation.
+Every forward output is checked for NaN/Inf through its minimum and
+maximum, which a NaN turns into NaN and an infinity into +-Inf; a
+non-finite value aborts the step with a diagnostic naming the operation.
 """
 
 from __future__ import annotations
@@ -191,8 +192,9 @@ def _current_tape() -> Tape | None:
 
 
 def _ensure_finite(op: str, arr: np.ndarray) -> None:
-    # cheap one-pass probe: NaN/Inf in the data always poisons the f64 sum
-    if math.isfinite(float(arr.sum(dtype=np.float64))):
+    # allocation-free probe: min and max propagate NaN, and an infinity is
+    # one of them; unlike a sum, neither can overflow on finite data
+    if arr.size == 0 or (math.isfinite(arr.min()) and math.isfinite(arr.max())):
         return
     finite = np.isfinite(arr)
     n_bad = int(arr.size - finite.sum())
@@ -394,7 +396,10 @@ def relu(a: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian-CDF form x * Phi(x), not the tanh approximation."""
     x = a.data
-    phi_cdf = 0.5 * (1.0 + erf(x * x.dtype.type(_INV_SQRT2)))
+    phi_cdf = x * x.dtype.type(_INV_SQRT2)
+    erf(phi_cdf, out=phi_cdf)
+    phi_cdf += 1.0
+    phi_cdf *= 0.5
 
     def bwd(g):
         pdf = np.exp(-0.5 * x * x) * x.dtype.type(_INV_SQRT2PI)
@@ -483,10 +488,15 @@ def conv_out_extent(extent: int, k: int, stride: int, pad: int) -> int:
 _IM2COL_BYTES = 4 << 20
 
 
-def _windows(op: str, x: np.ndarray, kh: int, kw: int, stride: int, pad: int,
-             fill: float = 0.0) -> np.ndarray:
-    """[N, C, OH, OW, KH, KW] strided view of every window of ``x`` padded with ``fill``."""
-    h, w = x.shape[2:]
+# a conv whose input plane is at most this many times the kernel area, and
+# whose unrolled weight matrix fits in _IM2COL_BYTES, runs as one GEMM
+# against that matrix: H*W/(KH*KW) times the multiply-adds of im2col, but
+# no window gather and nothing kept for the weight gradient but the matrix
+_DENSE_PLANE_RATIO = 8
+
+
+def _out_extents(op: str, h: int, w: int, kh: int, kw: int, stride: int,
+                 pad: int) -> tuple[int, int]:
     oh = conv_out_extent(h, kh, stride, pad)
     ow = conv_out_extent(w, kw, stride, pad)
     if oh <= 0 or ow <= 0:
@@ -494,6 +504,13 @@ def _windows(op: str, x: np.ndarray, kh: int, kw: int, stride: int, pad: int,
             f"{op}: non-positive output extent {oh}x{ow} for input {h}x{w}, "
             f"kernel {kh}x{kw}, stride {stride}, pad {pad}"
         )
+    return oh, ow
+
+
+def _windows(op: str, x: np.ndarray, kh: int, kw: int, stride: int, pad: int,
+             fill: float = 0.0) -> np.ndarray:
+    """[N, C, OH, OW, KH, KW] strided view of every window of ``x`` padded with ``fill``."""
+    _out_extents(op, *x.shape[2:], kh, kw, stride, pad)
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=fill)
     win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
@@ -530,9 +547,12 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
         raise ShapeError(f"conv2d: input channels {c} != weight channels {cw}")
     if bias is not None and bias.shape != (o,):
         raise ShapeError(f"conv2d: bias must have shape ({o},), got {bias.shape}")
-    win = _windows("conv2d", x.data, kh, kw, stride, pad)
-    oh, ow = win.shape[2:4]
+    oh, ow = _out_extents("conv2d", h, wd, kh, kw, stride, pad)
     pos = oh * ow  # output positions per image: the im2col columns
+    if (h * wd <= _DENSE_PLANE_RATIO * kh * kw
+            and c * h * wd * o * pos * x.data.itemsize <= _IM2COL_BYTES):
+        return _conv2d_dense(tensors, stride, pad, oh, ow)
+    win = _windows("conv2d", x.data, kh, kw, stride, pad)
     wmat = w.data.reshape(o, -1)
     step = max(1, _IM2COL_BYTES // (pos * wmat.shape[1] * x.data.itemsize))
     chunks = range(0, n, step)
@@ -569,6 +589,47 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
         return gx, gw, g3.sum(axis=(0, 2))
 
     return _apply("conv2d", out.reshape(n, o, oh, ow), tensors, bwd)
+
+
+def _kernel_diagonal(m: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """[C, OH, OW, O, KH, KW] view of the entries ``m[c, s*oy + i, s*ox + j, o, oy, ox]``
+    of a [C, HP, WP, O, OH, OW] matrix over the padded input plane."""
+    c, _, _, o, oh, ow = m.shape
+    s0, s1, s2, s3, s4, s5 = m.strides
+    return np.lib.stride_tricks.as_strided(
+        m, (c, oh, ow, o, kh, kw), (s0, stride * s1 + s4, stride * s2 + s5, s3, s1, s2))
+
+
+def _conv2d_dense(tensors: tuple[Tensor, ...], stride: int, pad: int, oh: int,
+                  ow: int) -> Tensor:
+    """conv2d as ``x[N, C*H*W] @ M[C*H*W, O*OH*OW]``, with ``M`` the weight
+    unrolled over every output position; the product is already NCHW."""
+    x, w, *bias = tensors
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    full = (c, h + 2 * pad, wd + 2 * pad, o, oh, ow)
+    mp = np.zeros(full, dtype=w.data.dtype)
+    _kernel_diagonal(mp, kh, kw, stride)[...] = w.data.transpose(1, 0, 2, 3)[:, None, None]
+    mat = mp[:, pad:pad + h, pad:pad + wd].reshape(c * h * wd, o * oh * ow)
+    xf = x.data.reshape(n, -1)
+    out = (xf @ mat).reshape(n, o, oh, ow)
+    if bias:
+        out += bias[0].data[:, None, None]
+    nx, nw = x.requires_grad, w.requires_grad
+
+    def bwd(g):
+        g2 = g.reshape(n, -1)
+        gx = (g2 @ mat.T).reshape(x.shape) if nx else None
+        gw = None
+        if nw:
+            gmp = np.zeros(full, dtype=g.dtype)
+            gmp[:, pad:pad + h, pad:pad + wd] = (xf.T @ g2).reshape(c, h, wd, o, oh, ow)
+            gw = _kernel_diagonal(gmp, kh, kw, stride).sum(axis=(1, 2)).transpose(1, 0, 2, 3)
+        if not bias:
+            return gx, gw
+        return gx, gw, g.sum(axis=(0, 2, 3))
+
+    return _apply("conv2d", out, tensors, bwd)
 
 
 def maxpool2d(x: Tensor, k: int, stride: int | None = None, pad: int = 0) -> Tensor:

@@ -125,13 +125,18 @@ def check_grad_matmul() -> str:
 
 
 def check_grad_conv2d() -> str:
+    # a 5x5 plane runs as one dense GEMM and a 9x9 one through im2col
     rng = np.random.default_rng(102)
     w = Tensor(rng.normal(size=(2, 2, 3, 3)), dtype="f64", requires_grad=True)
     bias = Tensor(rng.normal(size=(2,)), dtype="f64", requires_grad=True)
-    c = Tensor(rng.normal(size=(1, 2, 5, 5)), dtype="f64")
-    x = Tensor(rng.normal(size=(1, 2, 5, 5)), dtype="f64")
-    err = grad_check(lambda z: T.sum_(T.mul(T.conv2d(z, w, bias, stride=1, pad=1), c)), x)
-    return _require(err <= 1e-5, f"max rel err {err:.2e}")
+    errs = []
+    for side, stride in ((5, 1), (9, 2)):
+        oh = T.conv_out_extent(side, 3, stride, 1)
+        c = Tensor(rng.normal(size=(1, 2, oh, oh)), dtype="f64")
+        x = Tensor(rng.normal(size=(1, 2, side, side)), dtype="f64")
+        errs.append(grad_check(
+            lambda z: T.sum_(T.mul(T.conv2d(z, w, bias, stride=stride, pad=1), c)), x))
+    return _require(max(errs) <= 1e-5, f"max rel err {max(errs):.2e}")
 
 
 def check_grad_maxpool() -> str:

@@ -178,8 +178,8 @@ def multi_head_attention(x: Tensor, params: dict, prefix: str, heads: int) -> tu
         return transpose(reshape(y, (bsz, n, heads, hd)), (0, 2, 1, 3))
 
     q, k, v = proj("q"), proj("k"), proj("v")
-    scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
-    weights = softmax(scores, axis=-1)
+    q = scale(q, 1.0 / np.sqrt(hd))  # [B, heads, n, hd]: n/hd times smaller than the scores
+    weights = softmax(matmul(q, transpose(k, (0, 1, 3, 2))), axis=-1)
     ctx = matmul(weights, v)  # [B, heads, n, hd]
     ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (bsz * n, d))
     out = add(matmul(ctx, params[f"{prefix}.wo"]), params[f"{prefix}.bo"])

@@ -332,13 +332,24 @@ CONV_SUITE = [o for o in OP_SUITE if o[0].startswith("conv2d")]
 @pytest.mark.parametrize("dtype", ["f64", "f32"])
 @pytest.mark.parametrize("name,mk,h64,h32", CONV_SUITE, ids=[o[0] for o in CONV_SUITE])
 def test_conv2d_gradients_across_im2col_chunks(monkeypatch, name, mk, h64, h32, dtype):
-    # a one-byte budget gives one image per im2col chunk: a batch of 3 spans 3
+    # a one-byte budget gives one image per im2col chunk: a batch of 3 spans 3;
+    # the 5x5 plane would otherwise take the dense path
     monkeypatch.setattr(T, "_IM2COL_BYTES", 1)
+    monkeypatch.setattr(T, "_DENSE_PLANE_RATIO", 0)
     make = functools.partial(mk, batch=3)
     if dtype == "f64":
         assert _run_instances(make, 10, "f64", h64) <= 1e-5
     else:
         assert _run_instances(make, 10, "f32", h32) <= 1e-3
+
+
+@pytest.mark.parametrize("dtype", ["f64", "f32"])
+@pytest.mark.parametrize("name,mk,h64,h32", CONV_SUITE, ids=[o[0] for o in CONV_SUITE])
+def test_conv2d_gradients_on_both_paths(conv_path, name, mk, h64, h32, dtype):
+    if dtype == "f64":
+        assert _run_instances(mk, 10, "f64", h64) <= 1e-5
+    else:
+        assert _run_instances(mk, 10, "f32", h32) <= 1e-3
 
 
 def mk_conv1x1(r, dt, wrt, stride, bias):
@@ -362,6 +373,20 @@ def test_conv2d_1x1_gradients(monkeypatch, wrt, stride, bias, dtype, one_image_c
     # a view of the input; the conv2d tolerances of OP_SUITE apply
     if one_image_chunks:
         monkeypatch.setattr(T, "_IM2COL_BYTES", 1)
+    make = functools.partial(mk_conv1x1, wrt=wrt, stride=stride, bias=bias)
+    if dtype == "f64":
+        assert _run_instances(make, 10, "f64", 1e-5) <= 1e-5
+    else:
+        assert _run_instances(make, 10, "f32", 0.05) <= 1e-3
+
+
+@pytest.mark.parametrize("conv_path", ["dense"], indirect=True)
+@pytest.mark.parametrize("dtype", ["f64", "f32"])
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("wrt", ["x", "w"])
+def test_conv2d_1x1_gradients_dense(conv_path, wrt, stride, bias, dtype):
+    # test_conv2d_1x1_gradients runs these cases through im2col
     make = functools.partial(mk_conv1x1, wrt=wrt, stride=stride, bias=bias)
     if dtype == "f64":
         assert _run_instances(make, 10, "f64", 1e-5) <= 1e-5

@@ -93,6 +93,7 @@ class TestConv2d:
         b = rng.normal(size=3).astype(np.float32)
         oh = T.conv_out_extent(6, 3, stride, pad)
         monkeypatch.setattr(T, "_IM2COL_BYTES", 2 * oh * oh * 2 * 9 * 4)
+        monkeypatch.setattr(T, "_DENSE_PLANE_RATIO", 0)  # a 6x6 plane would go dense
         got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, pad=pad).data
         assert np.abs(got - conv_oracle(x, w, b, stride, pad)).max() <= 1e-5
 
@@ -103,12 +104,54 @@ class TestConv2d:
         # at stride 1 the im2col columns are the input itself, not a copy
         if one_image_chunks:
             monkeypatch.setattr(T, "_IM2COL_BYTES", 1)
+            monkeypatch.setattr(T, "_DENSE_PLANE_RATIO", 0)
         rng = np.random.default_rng(40 + stride)
         x = rng.normal(size=(3, 5, 7, 6)).astype(np.float32)
         w = rng.normal(size=(4, 5, 1, 1)).astype(np.float32)
         b = rng.normal(size=4).astype(np.float32) if bias else None
         got = T.conv2d(Tensor(x), Tensor(w), None if b is None else Tensor(b), stride=stride).data
         assert np.abs(got - conv_oracle(x, w, b, stride, 0)).max() <= 1e-5
+
+    # (N, C, H, O, K, stride, pad, bias): the shapes of the loop-oracle,
+    # strided and 1x1 tests above, and the ViT ch0 embed (16x16, 7x7, s2, p3)
+    PATH_CASES = [
+        (1, 2, 6, 3, 3, 1, 1, True),
+        (2, 3, 9, 4, 3, 2, 0, False),
+        (3, 5, 7, 4, 1, 1, 0, True),
+        (3, 5, 7, 4, 1, 2, 0, False),
+        (2, 3, 16, 3, 7, 2, 3, True),
+    ]
+
+    @pytest.mark.parametrize("n,c,h,o,k,stride,pad,bias", PATH_CASES)
+    def test_oracle_on_both_paths(self, conv_path, n, c, h, o, k, stride, pad, bias):
+        # pixel-range inputs and kaiming-range weights, as the embeds see them
+        rng = np.random.default_rng(50 + h + k)
+        bound = math.sqrt(6.0 / (c * k * k))
+        x = rng.uniform(0.0, 1.0, size=(n, c, h, h)).astype(np.float32)
+        w = rng.uniform(-bound, bound, size=(o, c, k, k)).astype(np.float32)
+        b = rng.normal(size=o).astype(np.float32) if bias else None
+        got = T.conv2d(Tensor(x), Tensor(w), None if b is None else Tensor(b), stride, pad).data
+        assert np.abs(got - conv_oracle(x, w, b, stride, pad)).max() <= 1e-5
+
+    @pytest.mark.parametrize("dtype", ["f64", "f32"])
+    def test_dense_matches_im2col(self, monkeypatch, dtype):
+        # out, gx, gw and gb of the ViT ch0 embed conv agree across the paths
+        rng = np.random.default_rng(60)
+        data = [rng.normal(size=s) for s in ((4, 3, 16, 16), (3, 3, 7, 7), (3,), (4, 3, 8, 8))]
+
+        def run(ratio):
+            monkeypatch.setattr(T, "_DENSE_PLANE_RATIO", ratio)
+            x, w, b = (Tensor(a, dtype=dtype, requires_grad=True) for a in data[:3])
+            with Tape() as tape:
+                y = T.conv2d(x, w, b, stride=2, pad=3)
+                loss = T.sum_(T.mul(y, Tensor(data[3], dtype=dtype)))
+            tape.backward(loss)
+            return [y.data, x.grad, w.grad, b.grad]
+
+        tol = 1e-12 if dtype == "f64" else 1e-4
+        for dense, im2col in zip(run(math.inf), run(0)):
+            assert dense.shape == im2col.shape
+            assert np.abs(dense - im2col).max() <= tol * max(1.0, np.abs(im2col).max())
 
     def test_nonpositive_extent_rejected(self):
         x = Tensor(np.zeros((1, 1, 3, 3), dtype=np.float32))
@@ -333,6 +376,17 @@ class TestTensorBasics:
         big = Tensor(np.full(4, 3e38, dtype=np.float32))
         with pytest.raises(NumericsError, match="add"):
             T.add(big, big)
+
+    def test_large_finite_f64_accepted(self):
+        # the sum of these overflows f64, but every value is finite
+        assert Tensor(np.full(2, 1e308), dtype="f64").data.max() == 1e308
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_bad_value_in_large_output_names_op(self, bad):
+        x = np.zeros((64, 1000), dtype=np.float32)
+        x[37, 411] = bad
+        with pytest.raises(NumericsError, match=r"scale: 1 non-finite value"):
+            T.scale(Tensor._wrap(x, False), 2.0)
 
     def test_mixed_dtypes_rejected(self):
         with pytest.raises(UsageError, match="mixed"):
