@@ -4,7 +4,8 @@ Layout: magic ``IHVT`` | format version u32 LE | header length u64 LE |
 JSON header ``{config, tensors: [{name, shape, dtype, offset}]}`` |
 payload of concatenated raw little-endian IEEE-754 f32 values.
 Offsets are payload-relative and strictly increasing; a load of a save
-reproduces bit-identical parameters.
+reproduces bit-identical parameters, and a NaN or Inf in the payload is
+a format error.
 """
 
 from __future__ import annotations
@@ -95,6 +96,11 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             f"{path}: payload is {len(payload)} bytes, expected {expected}",
             offset=16 + hlen + min(len(payload), expected),
         )
+    finite = np.isfinite(np.frombuffer(payload, dtype="<f4"))
+    if not finite.all():
+        at = 4 * int(np.argmin(finite))
+        name = [e["name"] for e in entries if e["offset"] <= at][-1]
+        raise FormatError(f"{path}: tensor {name!r} holds NaN or Inf", offset=16 + hlen + at)
     params: dict[str, np.ndarray] = {}
     for e in entries:
         size = 4 * int(np.prod(e["shape"], dtype=np.int64)) if e["shape"] else 4

@@ -32,6 +32,8 @@ ARM_DISPLAY = {
     "vit-2ch": "2channel-ViT",
     "ih-vit": "IH-ViT",
 }
+# images per (branch, chunk) call of the tape-free forward; see Arm.branch_logits
+_FORWARD_CHUNK = 4
 # published accuracies shown as a non-asserted reference column
 REFERENCE_ACC = {
     "ResNet50": 69.71,
@@ -207,6 +209,10 @@ class Adam:
 # arms
 
 
+def _logits(branch, images: Tensor) -> Tensor:
+    return branch.forward(images)[0]
+
+
 @dataclass
 class Arm:
     name: str
@@ -226,28 +232,35 @@ class Arm:
         """Logits per active branch.
 
         With ``tapes``, branch *k* records onto ``tapes[k]`` and the
-        branches run concurrently (see :func:`run_all`; the ViT branch, the
-        longer one, stays on the calling thread).  Without ``tapes`` they
-        record onto the caller's tape, if any; as one tape takes nodes from
-        one thread only, they then run one after the other.
+        branches run concurrently (see :func:`run_all`: the ResNet branch on
+        a worker thread, the ViT branch, the longer one, on the calling
+        thread).  Under a caller's tape they record onto it; as one tape
+        takes nodes from one thread only, they then run one after the other.
+        With no tape at all, each branch runs on chunks of ``_FORWARD_CHUNK``
+        images, each (branch, chunk) forward one call to :func:`run_all`:
+        the ViT chunks first and the shorter ResNet chunks last, so the
+        threads stay busy to the end.  The chunks are the same for every
+        thread count, and so are the logits.
         """
         branches = {k: b for k, b in (("resnet", self.resnet), ("vit", self.vit))
                     if b is not None}
-        if tapes is None:
-            if T._current_tape() is not None:
-                return {k: b.forward(images)[0] for k, b in branches.items()}
-            tapes = [None] * len(branches)
-        elif len(tapes) != len(branches):
-            raise UsageError(f"branch_logits: {len(branches)} branches but {len(tapes)} tapes")
+        if tapes is not None:
+            if len(tapes) != len(branches):
+                raise UsageError(f"branch_logits: {len(branches)} branches but {len(tapes)} tapes")
 
-        def forward(branch, tape):
-            if tape is None:
-                return branch.forward(images)[0]
-            with tape:
-                return branch.forward(images)[0]
+            def forward(branch, tape):
+                with tape:
+                    return _logits(branch, images)
 
-        logits = run_all([partial(forward, b, t) for b, t in zip(branches.values(), tapes)])
-        return dict(zip(branches, logits))
+            logits = run_all([partial(forward, b, t) for b, t in zip(branches.values(), tapes)])
+            return dict(zip(branches, logits))
+        if T._current_tape() is not None:
+            return {k: _logits(b, images) for k, b in branches.items()}
+        chunks = [images[i:i + _FORWARD_CHUNK] for i in range(0, images.shape[0], _FORWARD_CHUNK)]
+        order = [k for k in ("vit", "resnet") if k in branches]
+        parts = iter(run_all([partial(_logits, branches[k], x) for k in order for x in chunks]))
+        logits = {k: T.concat([next(parts) for _ in chunks]) for k in order}
+        return {k: logits[k] for k in branches}
 
     def branch_weights(self) -> list[float]:
         out = []

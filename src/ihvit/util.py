@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import threading
 import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, fields, is_dataclass
@@ -31,20 +32,48 @@ def worker_count() -> int:
 def run_all(calls: Sequence[Callable[[], R]]) -> list[R]:
     """Call each of ``calls`` and return their results in order.
 
-    With ``worker_count() > 1`` the calls before the last go to at most
-    ``worker_count() - 1`` worker threads while the calling thread runs the
-    last one, so put the longest call last.  Otherwise they run one after
-    the other.  Every call finishes before an exception from any of them is
-    re-raised here.
+    With ``worker_count() > 1`` the threads share the work: the calling
+    thread runs the last call first while up to ``worker_count() - 1``
+    workers start on the others in order, and then every thread, the caller
+    included, takes the next call that has not started.  So of two calls the
+    first runs on a worker and the last on the caller, and with more, short
+    calls placed last keep the tail short.  Every call runs, even after one
+    has failed, and then the first exception in call order is re-raised.
+    With one thread the calls run in order and the first exception stops
+    them.
     """
     calls = list(calls)
     workers = min(worker_count(), len(calls)) - 1
     if workers < 1:
         return [call() for call in calls]
+    results: list = [None] * len(calls)
+    errors: list[BaseException | None] = [None] * len(calls)
+    pending = iter(range(len(calls) - 1))
+    lock = threading.Lock()
+
+    def run(i: int) -> None:
+        try:
+            results[i] = calls[i]()
+        except BaseException as e:  # re-raised once every call has run
+            errors[i] = e
+
+    def share() -> None:
+        while True:
+            with lock:
+                i = next(pending, None)
+            if i is None:
+                return
+            run(i)
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(call) for call in calls[:-1]]
-        last = calls[-1]()
-        return [f.result() for f in futures] + [last]
+        for _ in range(workers):
+            pool.submit(share)
+        run(len(calls) - 1)
+        share()
+    for e in errors:
+        if e is not None:
+            raise e
+    return results
 
 
 def write_atomic(path, chunks: Iterable[bytes]) -> None:

@@ -218,6 +218,18 @@ class TestTrainEval:
                      "--manifest", str(data / "manifest.json")]) == 3
         assert "depthh" in capsys.readouterr().err
 
+    def test_eval_on_non_finite_payload_exits_3(self, trained, tmp_path, capsys):
+        data, run = trained
+        blob = bytearray((run / "vit-conv.ckpt").read_bytes())
+        (hlen,) = struct.unpack("<Q", blob[8:16])
+        first = min(checkpoint_header(run)["tensors"], key=lambda e: e["offset"])
+        blob[16 + hlen:20 + hlen] = np.float32(np.nan).tobytes()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(blob))
+        assert main(["eval", "--checkpoint", str(bad),
+                     "--manifest", str(data / "manifest.json")]) == 3
+        assert f"tensor '{first['name']}' holds NaN or Inf" in capsys.readouterr().err
+
     @pytest.mark.parametrize("keys, value, message", [
         ((), [], "header is not a JSON object"),
         (("config",), 5, "config is not a JSON object"),

@@ -239,6 +239,18 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="version"):
             load_checkpoint(tmp_path / "bad.ckpt")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_refused_at_load(self, tmp_path, value):
+        path = tmp_path / "vit.ckpt"
+        save_arm(build_arm("vit", TINY_VIT, TINY_RESNET, seed=0), path)
+        blob = bytearray(path.read_bytes())
+        hlen = int.from_bytes(blob[8:16], "little")
+        first = min(json.loads(blob[16:16 + hlen])["tensors"], key=lambda e: e["offset"])
+        blob[16 + hlen:20 + hlen] = np.float32(value).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=f"vit.ckpt: tensor '{first['name']}' holds NaN or Inf"):
+            arm_from_checkpoint(path)
+
     def test_f64_params_refused(self, tmp_path):
         with pytest.raises(UsageError, match="f32"):
             save_checkpoint({"w": Tensor(np.zeros(3), dtype="f64")}, {}, tmp_path / "m.ckpt")
@@ -337,6 +349,24 @@ class TestTrain:
             params = {k: t.data.tobytes() for k, t in arm.parameters().items()}
             runs.append((report.loss_curve, params, arm.predict_probs(x).tobytes()))
         assert runs[0] == runs[1]
+
+    def test_chunked_forward_does_not_depend_on_thread_count(self, monkeypatch):
+        # the tape-free forward runs 4-image chunks of each branch as separate calls
+        arm = build_arm("ih-vit", ViTConfig(classes=6), ResNetConfig.desk(classes=6), seed=9)
+        px = np.random.default_rng(9).integers(0, 256, (16, 224, 224, 3), dtype=np.uint8)
+        for n in (1, 4, 10, 16):
+            x = _batch_tensor(px[:n])
+            probs = []
+            for threads in ("1", "2", "3"):
+                monkeypatch.setenv("IHVIT_THREADS", threads)
+                probs.append(arm.predict_probs(x).tobytes())
+            assert probs[0] == probs[1] == probs[2], n
+            # across chunkings only the summation order differs, which BLAS decides
+            logits = arm.branch_logits(x)
+            for name, branch in (("resnet", arm.resnet), ("vit", arm.vit)):
+                whole = branch.forward(x)[0].data
+                assert logits[name].shape == whole.shape == (n, 6)
+                np.testing.assert_allclose(logits[name].data, whole, rtol=0, atol=1e-6)
 
     def test_branch_tapes_must_match_branches(self):
         arm = build_arm("ih-vit", TINY_VIT, TINY_RESNET, seed=0)

@@ -1,4 +1,4 @@
-"""run_all: the thread budget, result order and error propagation;
+"""run_all: the thread budget, work sharing, result order and error propagation;
 write_atomic: a failed write leaves the old file."""
 
 import threading
@@ -44,6 +44,35 @@ def test_worker_error_is_raised_after_every_call_finishes(monkeypatch):
     with pytest.raises(ValueError, match="branch failed"):
         run_all([fail, slow])
     assert done == [True]
+
+
+def test_caller_takes_calls_left_after_the_last(monkeypatch):
+    monkeypatch.setenv("IHVIT_THREADS", "2")
+
+    def call(i):
+        if i == 0:
+            time.sleep(0.2)
+        return i, threading.get_ident()
+
+    results = run_all([lambda i=i: call(i) for i in range(5)])
+    assert [i for i, _ in results] == [0, 1, 2, 3, 4]
+    on_caller = [i for i, thread in results if thread == threading.get_ident()]
+    assert 4 in on_caller and len(on_caller) >= 2
+
+
+def test_middle_error_is_raised_after_every_call_runs(monkeypatch):
+    monkeypatch.setenv("IHVIT_THREADS", "2")
+    done = []
+
+    def call(i):
+        time.sleep(0.01)
+        if i == 2:
+            raise ValueError("call 2 failed")
+        done.append(i)
+
+    with pytest.raises(ValueError, match="call 2 failed"):
+        run_all([lambda i=i: call(i) for i in range(5)])
+    assert sorted(done) == [0, 1, 3, 4]
 
 
 def test_write_atomic_replaces_the_file(tmp_path):
