@@ -393,27 +393,76 @@ def relu(a: Tensor) -> Tensor:
     return _apply("relu", np.maximum(x, 0), (a,), lambda g: (g * (x > 0),))
 
 
+# Abramowitz & Stegun 7.1.26: erfc(z) ~ t*P(t)*exp(-z^2), t = 1/(1 + p*z), for
+# z >= 0, within 1.5e-7 of erfc; _PHI_TAIL holds P's coefficients halved, so
+# the product is 1 - Phi(sqrt(2)*z), highest degree first
+_PHI_P = 0.3275911
+_PHI_TAIL = (0.5307027145, -0.7265760135, 0.7107068705, -0.142248368, 0.127414796)
+# |z| is capped here: erfc(9) is below 1e-35, and the cap keeps z^2 finite
+_PHI_Z_MAX = 9.0
+
+
+def _phi_f32(x: np.ndarray) -> np.ndarray:
+    """The standard normal CDF of f32 ``x`` in a few whole-array passes.
+
+    scipy's ``erf`` is a scalar loop; this is 7.1.26 on |x|/sqrt(2), with
+    the tail folded back by sign, so Phi(-x) keeps its own small value."""
+    f = x.dtype.type
+    z = np.abs(x)
+    z *= f(_INV_SQRT2)
+    np.minimum(z, f(_PHI_Z_MAX), out=z)
+    t = z * f(_PHI_P)
+    t += f(1.0)
+    np.reciprocal(t, out=t)
+    tail = t * f(_PHI_TAIL[0])
+    for c in _PHI_TAIL[1:]:
+        tail += f(c)
+        tail *= t
+    np.square(z, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    tail *= z                      # Phi(-|x|)
+    np.subtract(f(0.5), tail, out=tail)
+    np.copysign(tail, x, out=tail)
+    tail += f(0.5)
+    return tail
+
+
 def gelu(a: Tensor) -> Tensor:
-    """Exact Gaussian-CDF form x * Phi(x), not the tanh approximation."""
+    """Exact Gaussian-CDF form x * Phi(x), not the tanh approximation.
+
+    f64 takes Phi from scipy's ``erf``.  f32 takes it from ``_phi_f32``,
+    whose output is within 5e-7 of the f64 form for |x| <= 10."""
     x = a.data
-    phi_cdf = x * x.dtype.type(_INV_SQRT2)
-    erf(phi_cdf, out=phi_cdf)
-    phi_cdf += 1.0
-    phi_cdf *= 0.5
+    if x.dtype == np.float64:
+        phi_cdf = x * _INV_SQRT2
+        erf(phi_cdf, out=phi_cdf)
+        phi_cdf += 1.0
+        phi_cdf *= 0.5
+    else:
+        phi_cdf = _phi_f32(x)
 
     def bwd(g):
-        pdf = np.exp(-0.5 * x * x) * x.dtype.type(_INV_SQRT2PI)
-        return (g * (phi_cdf + x * pdf),)
+        # g * (Phi(x) + x * pdf(x)), built in one buffer
+        d = np.square(x)
+        d *= -0.5
+        np.exp(d, out=d)
+        d *= x.dtype.type(_INV_SQRT2PI)
+        d *= x
+        d += phi_cdf
+        d *= g
+        return (d,)
 
     return _apply("gelu", x * phi_cdf, (a,), bwd)
 
 
 def _shifted_exp(z: np.ndarray, axis: int):
-    """``z - max``, its exp and the sum of the exp along ``axis``; the
-    shift by the maximum keeps every exp finite."""
-    shifted = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return shifted, e, e.sum(axis=axis, keepdims=True)
+    """The maximum along ``axis``, ``exp(z - max)`` and its sum along
+    ``axis``; the shift by the maximum keeps every exp finite."""
+    top = z.max(axis=axis, keepdims=True)
+    e = z - top
+    np.exp(e, out=e)
+    return top, e, e.sum(axis=axis, keepdims=True)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -421,7 +470,11 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     out /= se
 
     def bwd(g):
-        return ((g - (g * out).sum(axis=axis, keepdims=True)) * out,)
+        # (g - <g, out>) * out, with the row dot taken without a g*out buffer
+        dot = np.einsum("...i,...i->...", np.moveaxis(g, axis, -1), np.moveaxis(out, axis, -1))
+        gx = g - np.expand_dims(dot, axis)
+        gx *= out
+        return (gx,)
 
     return _apply("softmax", out, (a,), bwd)
 
@@ -448,12 +501,23 @@ def _normalize(op: str, x: Tensor, gamma: Tensor, beta: Tensor, eps: float,
     inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=axes, keepdims=True) + x.data.dtype.type(eps))
     xhat *= inv
     out = xhat * g_ + beta.data.reshape(shape)
+    factored = ch not in {i % x.ndim for i in np.atleast_1d(axes)}  # gamma constant over axes
 
     def bwd(g):
-        gct = g * g_
-        gx = inv * (gct - gct.mean(axis=axes, keepdims=True)
-                    - xhat * (gct * xhat).mean(axis=axes, keepdims=True))
-        return gx.astype(x.data.dtype), (g * xhat).sum(axis=param_axes), g.sum(axis=param_axes)
+        # gx = inv * (gc - mean(gc) - xhat * mean(gc * xhat)) with gc = g * gamma; where
+        # gamma is constant over the reduced axes it moves out: gc = g, scaled by inv * gamma
+        gxh = g * xhat
+        dgamma = gxh.sum(axis=param_axes)
+        if factored:
+            gc, scale = g, inv * g_
+        else:
+            gc, scale = g * g_, inv
+            gxh *= g_
+        gx = xhat * gxh.mean(axis=axes, keepdims=True)
+        np.subtract(gc, gx, out=gx)
+        gx -= gc.mean(axis=axes, keepdims=True)
+        gx *= scale
+        return gx, dgamma, g.sum(axis=param_axes)
 
     return _apply(op, out, (x, gamma, beta), bwd)
 
@@ -676,10 +740,10 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         raise UsageError(f"cross_entropy: expected {b} labels, got shape {y.shape}")
     if y.size and (y.min() < 0 or y.max() >= k):
         raise UsageError(f"cross_entropy: label out of range [0, {k})")
-    shifted, e, se = _shifted_exp(logits.data, 1)
-    logp = shifted - np.log(se)
-    loss = (-logp[np.arange(b), y]).mean()
-    probs = e / se
+    top, probs, se = _shifted_exp(logits.data, 1)
+    logp = logits.data[np.arange(b), y] - top[:, 0] - np.log(se[:, 0])
+    loss = (-logp).mean()
+    probs /= se
 
     def bwd(g):
         gl = probs.copy()

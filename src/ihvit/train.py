@@ -34,6 +34,9 @@ ARM_DISPLAY = {
 }
 # images per (branch, chunk) call of the tape-free forward; see Arm.branch_logits
 _FORWARD_CHUNK = 4
+# what one ablation arm may raise and still leave an error row for the others;
+# anything else is a programming error and propagates
+_ARM_ERRORS = (ConfigError, InputError, FormatError, T.TensorError, OSError)
 # published accuracies shown as a non-asserted reference column
 REFERENCE_ACC = {
     "ResNet50": 69.71,
@@ -369,8 +372,11 @@ def load_split(manifest: Manifest, base_dir, split: str) -> tuple[np.ndarray, np
 
 
 def _batch_tensor(imgs: np.ndarray, dtype: str = "f32") -> Tensor:
-    arr = imgs.astype(np.float32 if dtype == "f32" else np.float64)
-    return Tensor(arr.transpose(0, 3, 1, 2) / arr.dtype.type(255.0), dtype=dtype)
+    """[N, H, W, 3] bytes as a C-contiguous [N, 3, H, W] tensor in [0, 1]."""
+    arr = np.ascontiguousarray(imgs.transpose(0, 3, 1, 2),
+                               dtype=np.float32 if dtype == "f32" else np.float64)
+    arr /= arr.dtype.type(255.0)
+    return Tensor(arr, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +589,7 @@ def ablate(manifest: Manifest, base_dir, vit_cfg: ViTConfig, resnet_cfg: ResNetC
             })
             if log:
                 log(f"{display}: {100 * report.accuracy:.2f}%")
-        except Exception as e:  # one arm's failure must not kill the others
+        except _ARM_ERRORS as e:  # one arm's failure must not kill the others
             rows.append({
                 "name": display,
                 "error": f"{type(e).__name__}: {e}",

@@ -271,6 +271,72 @@ class TestActivations:
         want = np.array([x * 0.5 * (1 + math.erf(x / math.sqrt(2))) for x in xs])
         assert np.abs(got - want).max() <= 1e-12
 
+    def test_gelu_f32_near_erf_form(self):
+        # the f32 kernel approximates Phi; 4*sqrt(2) is where erf(x/sqrt(2)) reaches 1 in f32
+        edge = 4 * math.sqrt(2)
+        xs = np.concatenate([np.linspace(-10, 10, 40001), [edge, -edge]]).astype(np.float32)
+        got = T.gelu(Tensor(xs)).data
+        assert got.dtype == np.float32
+        want = np.array([x * 0.5 * (1 + math.erf(x / math.sqrt(2))) for x in xs.tolist()])
+        assert np.abs(got - want).max() <= 1e-6
+
+    def test_gelu_zero_f32_bit_exact(self):
+        out = T.gelu(Tensor(np.zeros(4, dtype=np.float32))).data
+        assert out.dtype == np.float32 and out.tobytes() == np.zeros(4, np.float32).tobytes()
+
+
+def _grads(op, x: np.ndarray, g: np.ndarray, *params: np.ndarray) -> list[np.ndarray]:
+    """Gradients of every input of ``op(x, *params)`` for the output gradient ``g``."""
+    ins = [Tensor(a, requires_grad=True) for a in (x, *params)]
+    with Tape() as tape:
+        loss = T.sum_(T.mul(op(*ins), Tensor(g)))
+    tape.backward(loss)
+    return [t.grad for t in ins]
+
+
+# f32 shapes of the model: attention weights and the ResNet stem's instance norm
+BACKWARD_SHAPES = [(8, 3, 197, 197), (8, 16, 112, 112)]
+
+
+def _within_1e6(got: np.ndarray, want: np.ndarray) -> bool:
+    """``got`` within 1e-6 of ``want``, scaled by want's largest magnitude once
+    that exceeds 1: 1e-6 is 2 f32 ulps at 7, and the two formulas round differently."""
+    return got.dtype == np.float32 and np.abs(got - want).max() <= 1e-6 * max(
+        1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("shape", BACKWARD_SHAPES)
+def test_softmax_backward_matches_formula(shape):
+    rng = np.random.default_rng(91)
+    x = rng.normal(size=shape).astype(np.float32)
+    g = rng.normal(size=shape).astype(np.float32)
+    (gx,) = _grads(lambda t: T.softmax(t, axis=-1), x, g)
+    out = T.softmax(Tensor(x), axis=-1).data
+    want = (g - (g * out).sum(axis=-1, keepdims=True)) * out
+    assert _within_1e6(gx, want)
+
+
+@pytest.mark.parametrize("shape", BACKWARD_SHAPES)
+def test_instance_norm_backward_matches_formula(shape):
+    rng = np.random.default_rng(92)
+    c = shape[1]
+    x = rng.normal(size=shape).astype(np.float32)
+    g = rng.normal(size=shape).astype(np.float32)
+    gamma = rng.uniform(0.5, 1.5, c).astype(np.float32)
+    beta = rng.normal(size=c).astype(np.float32)
+    gx, dgamma, dbeta = _grads(T.instance_norm2d, x, g, gamma, beta)
+    # the unfactored formula: gc = g * gamma, all in f32
+    axes = (2, 3)
+    xhat = x - x.mean(axis=axes, keepdims=True)
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=axes, keepdims=True) + np.float32(1e-5))
+    xhat *= inv
+    gc = g * gamma.reshape(1, c, 1, 1)
+    want = inv * (gc - gc.mean(axis=axes, keepdims=True)
+                  - xhat * (gc * xhat).mean(axis=axes, keepdims=True))
+    assert _within_1e6(gx, want)
+    assert np.array_equal(dgamma, (g * xhat).sum(axis=(0, 2, 3)))
+    assert np.array_equal(dbeta, g.sum(axis=(0, 2, 3)))
+
 
 class TestSoftmax:
     def test_uniform_input(self):

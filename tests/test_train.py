@@ -13,7 +13,7 @@ from ihvit.errors import ConfigError, FormatError, InputError
 from ihvit.pipeline import balance_and_split
 from ihvit.resnet import ResNetConfig
 from ihvit.synth import SynthConfig, gen_dataset
-from ihvit.tensor import Tape, Tensor, UsageError
+from ihvit.tensor import NumericsError, Tape, Tensor, UsageError
 from ihvit.train import (
     ARM_DISPLAY,
     ARM_ORDER,
@@ -459,7 +459,7 @@ class TestAblate:
 
         def sabotaged(name, *a, **kw):
             if name == "vit-2ch":
-                raise RuntimeError("boom")
+                raise NumericsError("boom")
             return real_build(name, *a, **kw)
 
         monkeypatch.setattr(train_mod, "build_arm", sabotaged)
@@ -470,6 +470,18 @@ class TestAblate:
         assert all("accuracy" in by_name[n]
                    for n in ("ResNet50", "ViT", "ViT+Conv", "IH-ViT"))
 
+    def test_programming_error_propagates(self, tiny_dataset, monkeypatch):
+        # only the library's own errors become error rows
+        root, manifest = tiny_dataset
+        import ihvit.train as train_mod
+
+        def broken(name, *a, **kw):
+            raise TypeError("a bug, not a bad arm")
+
+        monkeypatch.setattr(train_mod, "build_arm", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            ablate(manifest, root, TINY_VIT, TINY_RESNET, TrainConfig(epochs=1, batch_size=16, seed=9))
+
 
 class TestBatchTensor:
     def test_channel_first_scaling(self):
@@ -479,6 +491,17 @@ class TestBatchTensor:
         assert t.shape == (2, 3, 224, 224) and t.dtype == "f32"
         assert t.data[1, 0, 0, 0] == 1.0 and t.data[1, 0, 0, 1] == 0.0
         assert t.data[0].max() == 0.0 and t.data[1, 1:].max() == 0.0
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_c_contiguous_nchw_with_unchanged_values(self, dtype):
+        px = np.random.default_rng(4).integers(0, 256, size=(5, 224, 224, 3), dtype=np.uint8)
+        t = _batch_tensor(px, dtype)
+        assert t.data.flags.c_contiguous and t.dtype == dtype
+        # the values of the NHWC-ordered view it used to return
+        arr = px.astype(np.float32 if dtype == "f32" else np.float64)
+        want = arr.transpose(0, 3, 1, 2) / arr.dtype.type(255.0)
+        assert t.data.dtype == want.dtype and np.array_equal(t.data, want)
+        assert t.data[1:3].flags.c_contiguous  # a chunk of images needs no copy
 
     def test_exact_inversion_on_byte_grid(self):
         # every byte k maps to k/255, which rounds back to k exactly
