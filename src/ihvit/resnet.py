@@ -3,8 +3,7 @@
 The full preset mirrors the standard 50-layer architecture; the desk
 preset is a narrow [1,1,1,1] variant sharing all code paths.  Per-conv
 normalization is a batch-statistics-free per-channel affine (instance
-statistics over spatial dims) so batches of 1 remain valid; it can be
-switched off, as can the residual adds.
+statistics over spatial dims) so batches of 1 remain valid.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ class ResNetConfig:
     stage_widths: tuple[int, ...] = (32, 64, 128, 256)
     bottleneck: int = 4
     classes: int = 6
-    norm: bool = True
-    residual: bool = True
 
     def __post_init__(self):
         if isinstance(self.stage_blocks, list):
@@ -45,18 +42,22 @@ class ResNetConfig:
             self.stage_widths = tuple(self.stage_widths)
         if len(self.stage_blocks) != len(self.stage_widths):
             raise ConfigError("stage_blocks and stage_widths differ in length")
+        if not self.stage_blocks:
+            raise ConfigError("stage_blocks and stage_widths must not be empty")
+        if self.bottleneck < 1:
+            raise ConfigError(f"bottleneck must be >= 1, got {self.bottleneck}")
         for w in self.stage_widths:
             if w % self.bottleneck != 0:
                 raise ConfigError(f"stage width {w} not divisible by bottleneck {self.bottleneck}")
 
     @classmethod
-    def resnet50(cls, classes: int = 1000, **kw) -> "ResNetConfig":
+    def resnet50(cls, classes: int = 1000) -> "ResNetConfig":
         return cls(stem_width=64, stage_blocks=(3, 4, 6, 3),
-                   stage_widths=(256, 512, 1024, 2048), classes=classes, **kw)
+                   stage_widths=(256, 512, 1024, 2048), classes=classes)
 
     @classmethod
-    def desk(cls, classes: int = 6, **kw) -> "ResNetConfig":
-        return cls(classes=classes, **kw)
+    def desk(cls, classes: int = 6) -> "ResNetConfig":
+        return cls(classes=classes)
 
     @property
     def feature_width(self) -> int:
@@ -69,10 +70,9 @@ class ResNetBranch:
         rng = np.random.default_rng(np.random.SeedSequence((seed, 11)))
         p: dict[str, np.ndarray] = {
             "stem.conv.w": kaiming_uniform(rng, (config.stem_width, 3, 7, 7)),
+            "stem.norm.g": np.ones(config.stem_width),
+            "stem.norm.b": np.zeros(config.stem_width),
         }
-        if config.norm:
-            p["stem.norm.g"] = np.ones(config.stem_width)
-            p["stem.norm.b"] = np.zeros(config.stem_width)
         cin = config.stem_width
         for s, (blocks, width) in enumerate(zip(config.stage_blocks, config.stage_widths)):
             mid = width // config.bottleneck
@@ -82,23 +82,19 @@ class ResNetBranch:
                 p[f"{pre}.conv1.w"] = kaiming_uniform(rng, (mid, cin, 1, 1))
                 p[f"{pre}.conv2.w"] = kaiming_uniform(rng, (mid, mid, 3, 3))
                 p[f"{pre}.conv3.w"] = kaiming_uniform(rng, (width, mid, 1, 1))
-                if config.norm:
-                    for i, c in ((1, mid), (2, mid), (3, width)):
-                        p[f"{pre}.norm{i}.g"] = np.ones(c)
-                        p[f"{pre}.norm{i}.b"] = np.zeros(c)
+                for i, c in ((1, mid), (2, mid), (3, width)):
+                    p[f"{pre}.norm{i}.g"] = np.ones(c)
+                    p[f"{pre}.norm{i}.b"] = np.zeros(c)
                 if stride != 1 or cin != width:
                     p[f"{pre}.down.w"] = kaiming_uniform(rng, (width, cin, 1, 1))
-                    if config.norm:
-                        p[f"{pre}.down.norm.g"] = np.ones(width)
-                        p[f"{pre}.down.norm.b"] = np.zeros(width)
+                    p[f"{pre}.down.norm.g"] = np.ones(width)
+                    p[f"{pre}.down.norm.b"] = np.zeros(width)
                 cin = width
         p["head.w"] = trunc_normal(rng, (config.feature_width, config.classes))
         p["head.b"] = np.zeros(config.classes)
         self.params = {k: Tensor(v, dtype=dtype, requires_grad=True) for k, v in p.items()}
 
     def _norm(self, x: Tensor, prefix: str) -> Tensor:
-        if not self.config.norm:
-            return x
         return instance_norm2d(x, self.params[f"{prefix}.g"], self.params[f"{prefix}.b"])
 
     def bottleneck_forward(self, x: Tensor, stage: int, block: int, stride: int) -> Tensor:
@@ -108,8 +104,6 @@ class ResNetBranch:
         y = relu(self._norm(conv2d(y, self.params[f"{pre}.conv2.w"], stride=stride, pad=1),
                             f"{pre}.norm2"))
         y = self._norm(conv2d(y, self.params[f"{pre}.conv3.w"]), f"{pre}.norm3")
-        if not self.config.residual:
-            return relu(y)
         if f"{pre}.down.w" in self.params:
             sc = self._norm(conv2d(x, self.params[f"{pre}.down.w"], stride=stride),
                             f"{pre}.down.norm")

@@ -22,7 +22,7 @@ from .pipeline import Manifest, read_ppm, _resize_array
 from .resnet import ResNetBranch, ResNetConfig
 from .tensor import Tape, Tensor, NumericsError, UsageError, cross_entropy
 from .util import check_int_fields, run_all, write_atomic
-from .vit import ChannelSpec, ViTBranch, ViTConfig
+from .vit import IMAGE_SIZE, ChannelSpec, ViTBranch, ViTConfig
 
 ARM_ORDER = ("resnet", "vit", "vit-conv", "vit-2ch", "ih-vit")
 ARM_DISPLAY = {
@@ -70,7 +70,6 @@ class TrainConfig:
     weight_decay: float = 1e-4
     batch_size: int = 8
     seed: int = 0
-    eval_batch_size: int = 16
     target_accuracy: float | None = None  # optional early stop once reached
     min_epochs: int = 1
 
@@ -319,6 +318,12 @@ def build_arm(name: str, vit_cfg: ViTConfig, resnet_cfg: ResNetConfig,
     return Arm(name=name, resnet=resnet, vit=vit, fusion=fusion)
 
 
+# model fields that older checkpoint headers carry, each with the one value
+# the code implements; a header holding another value cannot be built
+_LEGACY_FIELDS = {("vit", "image_size"): IMAGE_SIZE, ("resnet", "norm"): True,
+                  ("resnet", "residual"): True}
+
+
 def arm_from_checkpoint(path) -> Arm:
     raw, config = load_checkpoint(path)
     if not isinstance(config, dict):
@@ -327,8 +332,14 @@ def arm_from_checkpoint(path) -> Arm:
     if name not in ARM_ORDER:
         raise ConfigError(f"checkpoint has unknown arm {name!r}")
     try:
-        vit_cfg = ViTConfig(**config["vit"]) if config.get("vit") else ViTConfig()
-        resnet_cfg = ResNetConfig(**config["resnet"]) if config.get("resnet") else ResNetConfig.desk()
+        model = {k: {**(config.get(k) or {})} for k in ("vit", "resnet")}
+        for (section, key), fixed in _LEGACY_FIELDS.items():
+            value = model[section].pop(key, fixed)
+            if type(value) is not type(fixed) or value != fixed:
+                raise FormatError(f"{path}: header field {section}.{key} must be "
+                                  f"{json.dumps(fixed)}, got {json.dumps(value)}")
+        vit_cfg = ViTConfig(**model["vit"])
+        resnet_cfg = ResNetConfig(**model["resnet"])
         fusion = FusionWeights(**config.get("fusion", {}))
         for cfg in (vit_cfg, resnet_cfg, fusion):
             check_int_fields(cfg)
@@ -355,17 +366,17 @@ def save_arm(arm: Arm, path) -> None:
 
 
 def load_split(manifest: Manifest, base_dir, split: str) -> tuple[np.ndarray, np.ndarray]:
-    """Images (N,224,224,3 u8, resized as needed) and labels for one split."""
+    """Images (N,S,S,3 u8 with S = IMAGE_SIZE, resized as needed) and labels for one split."""
     entries = manifest.subset(split)
     if not entries:
         raise InputError(f"manifest has no {split!r} entries")
-    imgs = np.empty((len(entries), 224, 224, 3), dtype=np.uint8)
+    imgs = np.empty((len(entries), IMAGE_SIZE, IMAGE_SIZE, 3), dtype=np.uint8)
     labels = np.empty(len(entries), dtype=np.int64)
     base = Path(base_dir)
     for i, e in enumerate(entries):
         px = read_ppm(base / e.path)
-        if px.shape[:2] != (224, 224):
-            px = _resize_array(px, 224, 224)
+        if px.shape[:2] != (IMAGE_SIZE, IMAGE_SIZE):
+            px = _resize_array(px, IMAGE_SIZE, IMAGE_SIZE)
         imgs[i] = px
         labels[i] = e.label
     return imgs, labels
@@ -398,20 +409,9 @@ class MetricsReport:
     rows: list[dict] | None = None
 
     def to_json(self) -> dict:
-        out = {
-            "arm": self.arm,
-            "accuracy": self.accuracy,
-            "confusion": self.confusion,
-            "loss_curve": self.loss_curve,
-            "acc_curve": self.acc_curve,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "epochs_run": self.epochs_run,
-            "steps_run": self.steps_run,
-            "wall_seconds": self.wall_seconds,
-        }
-        if self.rows is not None:
-            out["rows"] = self.rows
+        out = asdict(self)
+        if self.rows is None:
+            del out["rows"]
         return out
 
     def identity_json(self) -> str:
@@ -546,8 +546,7 @@ def train(arm: Arm, manifest: Manifest, base_dir, cfg: TrainConfig,
             adam.step(lr)
             epoch_losses.append(loss)
             step += 1
-        acc, confusion = evaluate(arm, test_x, test_y,
-                                  batch_size=cfg.eval_batch_size, classes=classes)
+        acc, confusion = evaluate(arm, test_x, test_y, classes=classes)
         loss_curve.append(float(np.mean(epoch_losses)))
         acc_curve.append(acc)
         epochs_run = epoch + 1

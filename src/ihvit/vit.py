@@ -34,6 +34,8 @@ from .tensor import (
 )
 
 EMBED_PATHS = ("convblock", "conv_only", "linear")
+# side of the square input every ViT arm tiles; load_split resizes to it
+IMAGE_SIZE = 224
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,6 @@ class ChannelSpec:
 
 @dataclass
 class ViTConfig:
-    image_size: int = 224
     channels: tuple[ChannelSpec, ...] = (
         ChannelSpec(16, "convblock"),
         ChannelSpec(32, "conv_only"),
@@ -85,17 +86,15 @@ class ViTConfig:
         # a JSON document gives channels as a list of {patch, embed} objects
         self.channels = tuple(ChannelSpec(**ch) if isinstance(ch, dict) else ch
                               for ch in self.channels)
+        if self.heads < 1 or self.depth < 1 or self.classes < 2:
+            raise ConfigError("heads and depth must be >= 1 and classes >= 2")
         if self.dim % self.heads != 0:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
-        if self.depth < 1 or self.classes < 2:
-            raise ConfigError("depth must be >= 1 and classes >= 2")
         for ch in self.channels:
             if not isinstance(ch, ChannelSpec):
                 raise ConfigError(f"channel must be a {{patch, embed}} object, got {ch!r:.60}")
-            if self.image_size % ch.patch != 0:
-                raise ConfigError(
-                    f"patch size {ch.patch} does not divide image size {self.image_size}"
-                )
+            if IMAGE_SIZE % ch.patch != 0:
+                raise ConfigError(f"patch size {ch.patch} does not divide image size {IMAGE_SIZE}")
 
     @property
     def head_dim(self) -> int:
@@ -229,7 +228,7 @@ class ViTBranch:
         d = config.dim
         p: dict[str, np.ndarray] = {"cls": trunc_normal(rng, (d,))}
         for i, ch in enumerate(config.channels):
-            n = ch.token_count(config.image_size)
+            n = ch.token_count(IMAGE_SIZE)
             p[f"ch{i}.pos"] = trunc_normal(rng, (n + 1, d))
             if ch.embed != "linear":
                 p[f"ch{i}.conv.w"] = kaiming_uniform(rng, (3, 3, 7, 7))
@@ -256,7 +255,7 @@ class ViTBranch:
         cfg = self.config
         ch = cfg.channels[index]
         bsz = images.shape[0]
-        n = ch.token_count(cfg.image_size)
+        n = ch.token_count(IMAGE_SIZE)
         patches = patchify(images, ch.patch)
         flat_patches = reshape(patches, (bsz * n, 3, ch.patch, ch.patch))
         if ch.embed == "linear":
@@ -270,9 +269,9 @@ class ViTBranch:
     def forward(self, images: Tensor) -> tuple[Tensor, Tensor]:
         """[B,3,S,S] -> (logits [B,K], features [B,dim])."""
         cfg = self.config
-        if images.ndim != 4 or images.shape[1:] != (3, cfg.image_size, cfg.image_size):
+        if images.ndim != 4 or images.shape[1:] != (3, IMAGE_SIZE, IMAGE_SIZE):
             raise ShapeError(
-                f"vit forward: expected [B,3,{cfg.image_size},{cfg.image_size}], got {images.shape}"
+                f"vit forward: expected [B,3,{IMAGE_SIZE},{IMAGE_SIZE}], got {images.shape}"
             )
         bsz = images.shape[0]
         cls_row = reshape(self.params["cls"], (1, 1, cfg.dim))

@@ -167,6 +167,9 @@ class TestTrainEval:
         # a field whose default is an int takes no float and no bool
         "train.epochs=1.5", "train.batch_size=2.5", "train.seed=true", "model.vit.depth=1.0",
         'model.vit.channels=[{"patch": 16.0, "embed": "linear"}]',
+        # values a model cannot be built with
+        "model.vit.heads=0", "model.resnet.bottleneck=0",
+        'model.resnet={"stage_blocks": [], "stage_widths": []}',
     ])
     def test_mistyped_config_value_exits_2(self, trained, override, capsys):
         data, run = trained
@@ -184,6 +187,18 @@ class TestTrainEval:
                    "--out", str(run), "--set", override])
         assert rc == 2
         assert "must hold only integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [
+        "model.resnet.norm=false", "model.resnet.residual=false", "model.vit.image_size=448",
+        "train.eval_batch_size=0",
+    ])
+    def test_removed_config_key_exits_2(self, trained, override, capsys):
+        # a fixed 224x224 input, always-on norm and residual adds, 4-image eval chunks
+        data, run = trained
+        rc = main(["train", "--manifest", str(data / "manifest.json"), "--arm", "ih-vit",
+                   "--out", str(run), "--set", override])
+        assert rc == 2
+        assert "unknown config key" in capsys.readouterr().err
 
     def test_unknown_arm_exits_2(self, trained):
         data, run = trained
@@ -235,6 +250,10 @@ class TestTrainEval:
         (("config",), 5, "config is not a JSON object"),
         (("config", "vit", "depth"), 1.0, "depth must be an integer"),
         (("config", "resnet"), {"stage_blocks": [1.5, 1, 1, 1]}, "stage_blocks must hold only"),
+        # legacy header fields load only at the one value the code implements
+        (("config", "vit", "image_size"), 112, "vit.image_size must be 224, got 112"),
+        (("config", "resnet"), {"norm": False}, "resnet.norm must be true, got false"),
+        (("config", "resnet"), {"residual": 1}, "resnet.residual must be true, got 1"),
     ])
     def test_eval_on_mistyped_header_exits_3(self, trained, tmp_path, capsys,
                                              keys, value, message):
@@ -251,6 +270,19 @@ class TestTrainEval:
         assert main(["eval", "--checkpoint", str(bad),
                      "--manifest", str(data / "manifest.json")]) == 3
         assert message in capsys.readouterr().err
+
+    def test_eval_on_legacy_header_reproduces_training_accuracy(self, trained, tmp_path, capsys):
+        # headers written before the fixed input size and the always-on
+        # norm and residual adds carry those fields at their fixed values
+        data, run = trained
+        header = checkpoint_header(run)
+        header["config"]["vit"]["image_size"] = 224
+        header["config"]["resnet"] = {"norm": True, "residual": True}
+        legacy = with_header(run, tmp_path, header)
+        report = json.loads((run / "vit-conv.report.json").read_text())
+        assert main(["eval", "--checkpoint", str(legacy),
+                     "--manifest", str(data / "manifest.json")]) == 0
+        assert f"test accuracy: {100 * report['accuracy']:.2f}%" in capsys.readouterr().out
 
 
 class TestVerify:

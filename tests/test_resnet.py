@@ -41,14 +41,6 @@ class TestBottleneck:
 
         assert grad_check(f, model.params["s0.b0.conv2.w"], h=1e-5) <= 1e-5
 
-    def test_residual_switch_changes_outputs(self):
-        x = Tensor(np.random.default_rng(4).normal(size=(1, 3, 64, 64)).astype(np.float32))
-        with_res = ResNetBranch(ResNetConfig.desk(classes=3), seed=5)
-        without = ResNetBranch(ResNetConfig.desk(classes=3, residual=False), seed=5)
-        a, _ = with_res.forward(x)
-        b, _ = without.forward(x)
-        assert not np.allclose(a.data, b.data)
-
 
 class TestForward:
     def test_resnet50_stride_ledger(self):

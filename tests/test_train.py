@@ -519,7 +519,17 @@ class TestMetricsReport:
         rep.save(tmp_path / "r.json")
         loaded = json.loads((tmp_path / "r.json").read_text())
         assert loaded["accuracy"] == 0.75 and loaded["confusion"] == [[3, 1], [1, 3]]
+        assert list(loaded) == ["arm", "accuracy", "confusion", "loss_curve", "acc_curve", "seed",
+                                "config_hash", "epochs_run", "steps_run", "wall_seconds"]
         assert "0" in rep.table()
         csv = rep.loss_csv()
         assert csv.startswith("epoch,loss,test_accuracy")
         assert len(csv.strip().splitlines()) == 3
+
+    def test_rows_follow_the_fields_when_set(self):
+        rows = [{"name": "ViT", "accuracy": 0.5, "reference_acc": 66.45, "epochs_run": 1}]
+        rep = MetricsReport(arm="ablation", accuracy=0.5, confusion=[], loss_curve=[],
+                            acc_curve=[], seed=1, config_hash="ab12", epochs_run=1, rows=rows)
+        out = rep.to_json()
+        assert list(out)[-2:] == ["wall_seconds", "rows"] and out["rows"] == rows
+        assert "wall_seconds" not in json.loads(rep.identity_json())
