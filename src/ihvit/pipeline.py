@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, FormatError, InputError
-from .util import write_atomic
+from .util import run_all, write_atomic
 
 MANIFEST_SCHEMA_VERSION = 1
 
@@ -234,8 +235,24 @@ def read_labeled(path, entry: ManifestEntry) -> LabeledImage:
 # resizing
 
 
+# output rows per block of _resize_array
+_RESIZE_ROWS = 64
+
+
 def _resize_array(pixels: np.ndarray, tw: int, th: int) -> np.ndarray:
-    """Bilinear resample with half-pixel-center (corner-aligned-off) sampling."""
+    """Bilinear resample with half-pixel-center (corner-aligned-off) sampling.
+
+    Each output byte is ``rint(top*(1-fy) + bottom*fy)`` clipped to [0, 255],
+    where ``top`` and ``bottom`` are ``a*(1-fx) + b*fx`` over the two nearest
+    pixels of a source row, all in float64.  The output is made in blocks of
+    ``_RESIZE_ROWS`` rows: a block takes the distinct source rows it reads,
+    still uint8, lerps each of them along x once, then gathers the top and
+    bottom rows for the lerp along y.  Every byte goes through the same
+    operations in the same order whatever the block height, so the result is
+    byte-identical to a whole-image computation, while a block's temporaries
+    stay near 2.5 MB (whole-image float64 copies of a 2-3 MP frame take
+    50-90 MB).  ``pixels`` may be any (H, W, 3) uint8 view.
+    """
     h, w = pixels.shape[:2]
     sx = w / tw
     sy = h / th
@@ -245,14 +262,25 @@ def _resize_array(pixels: np.ndarray, tw: int, th: int) -> np.ndarray:
     y0 = np.clip(np.floor(ys), 0, h - 1).astype(np.int64)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    fx = np.clip(xs - x0, 0.0, 1.0)
-    fy = np.clip(ys - y0, 0.0, 1.0)
+    fx = np.clip(xs - x0, 0.0, 1.0)[None, :, None]
+    fy = np.clip(ys - y0, 0.0, 1.0)[:, None, None]
+    gx, gy = 1 - fx, 1 - fy
 
-    src = pixels.astype(np.float64)
-    top = src[y0][:, x0] * (1 - fx)[None, :, None] + src[y0][:, x1] * fx[None, :, None]
-    bot = src[y1][:, x0] * (1 - fx)[None, :, None] + src[y1][:, x1] * fx[None, :, None]
-    out = top * (1 - fy)[:, None, None] + bot * fy[:, None, None]
-    return np.rint(out).clip(0, 255).astype(np.uint8)
+    out = np.empty((th, tw, 3), dtype=np.uint8)
+    for r in range(0, th, _RESIZE_ROWS):
+        rows = slice(r, r + _RESIZE_ROWS)
+        n = len(y0[rows])
+        src_rows, at = np.unique(np.concatenate([y0[rows], y1[rows]]), return_inverse=True)
+        src = pixels[src_rows]
+        lerped = np.take(src, x0, axis=1) * gx
+        lerped += np.take(src, x1, axis=1) * fx
+        block = lerped[at[:n]]
+        block *= gy[rows]
+        bottom = lerped[at[n:]]
+        bottom *= fy[rows]
+        block += bottom
+        out[rows] = np.rint(block, out=block).clip(0, 255, out=block)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +308,8 @@ def _apply_variant(img: LabeledImage, plan: AugmentPlan, family: str, index: int
         deg = plan.rotations[index]
         rotated = np.rot90(px, k=deg // 90)
         if rotated.shape[:2] != (h, w):  # quarter turns swap extents; restore them
-            rotated = _resize_array(np.ascontiguousarray(rotated), w, h)
-        return np.ascontiguousarray(rotated)
+            rotated = _resize_array(rotated, w, h)
+        return rotated
     if family == "scale":
         f = plan.scale_factors[index]
         big = _resize_array(px, max(w + 1, round(w * f)), max(h + 1, round(h * f)))
@@ -294,7 +322,7 @@ def _apply_variant(img: LabeledImage, plan: AugmentPlan, family: str, index: int
         ch = max(2, round(h * f))
         x0 = int(rng.integers(0, w - cw + 1))
         y0 = int(rng.integers(0, h - ch + 1))
-        return _resize_array(np.ascontiguousarray(px[y0:y0 + ch, x0:x0 + cw]), w, h)
+        return _resize_array(px[y0:y0 + ch, x0:x0 + cw], w, h)
     if family == "translate":
         dx = dy = 0
         shift_x = max(1, round(w * plan.translate_fraction))
@@ -320,22 +348,30 @@ def _apply_variant(img: LabeledImage, plan: AugmentPlan, family: str, index: int
 
 def augment_all(img: LabeledImage, plan: AugmentPlan | None = None,
                 seed: int = 0) -> list[LabeledImage]:
-    """Emit the full variant set (14 by default) at the source image's size."""
+    """Emit the full variant set (14 by default) at the source image's size.
+
+    The variants are computed through ``util.run_all``, so with
+    ``IHVIT_THREADS`` of 2 or more the threads share them; they come back in
+    ``plan.variants()`` order.  Each variant is a pure function of the image,
+    the plan and ``seed``, and ``_resize_array`` gives the same bytes however
+    it is called, so the pixels do not depend on the thread count.
+    """
     plan = plan or AugmentPlan()
-    out = []
-    for family, index in plan.variants():
-        pixels = _apply_variant(img, plan, family, index, seed)
-        out.append(replace(
-            img,
-            pixels=pixels,
-            source_tag=f"augmented:{family}:{index}",
-        ))
-    return out
+    variants = plan.variants()
+    pixels = run_all([partial(_apply_variant, img, plan, family, index, seed)
+                      for family, index in variants])
+    return [replace(img, pixels=px, source_tag=f"augmented:{family}:{index}")
+            for px, (family, index) in zip(pixels, variants)]
 
 
 def augment_manifest(manifest: Manifest, base_dir, plan: AugmentPlan | None = None,
                      only_defect: bool = True) -> tuple[Manifest, int]:
-    """Materialize variants next to their sources; returns (manifest, added)."""
+    """Materialize variants next to their sources; returns (manifest, added).
+
+    The new manifest is built before any image is read or written, so a
+    variant path the manifest already lists (say, on a second run over an
+    augmented manifest) raises ``InputError`` with the disk untouched.
+    """
     plan = plan or AugmentPlan()
     base = Path(base_dir)
     sources = [e for e in manifest.entries
@@ -343,22 +379,18 @@ def augment_manifest(manifest: Manifest, base_dir, plan: AugmentPlan | None = No
     missing = [e.path for e in sources if not (base / e.path).exists()]
     if missing:
         raise FileNotFoundError("missing image files: " + ", ".join(missing))
-    new_entries = list(manifest.entries)
-    added = 0
-    for i, entry in enumerate(sources):
+    targets = [[ManifestEntry(
+        path=str(Path(e.path).parent / f"{Path(e.path).stem}_aug_{family}{index}.ppm"),
+        label=e.label, defect_free=e.defect_free, split="none",
+        origin=f"augmented:{family}:{index}",
+    ) for family, index in plan.variants()] for e in sources]
+    added = [t for ts in targets for t in ts]
+    out = Manifest(seed=manifest.seed, entries=manifest.entries + added)
+    for i, (entry, ts) in enumerate(zip(sources, targets)):
         img = read_labeled(base / entry.path, entry)
-        stem = Path(entry.path).stem
-        parent = Path(entry.path).parent
-        for var in augment_all(img, plan, seed=_entry_seed(manifest.seed, i)):
-            family, index = var.source_tag.split(":")[1:]
-            rel = str(parent / f"{stem}_aug_{family}{index}.ppm")
-            write_ppm(var, base / rel)
-            new_entries.append(ManifestEntry(
-                path=rel, label=entry.label, defect_free=entry.defect_free,
-                split="none", origin=var.source_tag,
-            ))
-            added += 1
-    return Manifest(seed=manifest.seed, entries=new_entries), added
+        for var, t in zip(augment_all(img, plan, seed=_entry_seed(manifest.seed, i)), ts):
+            write_ppm(var, base / t.path)
+    return out, len(added)
 
 
 def _entry_seed(seed: int, index: int) -> int:

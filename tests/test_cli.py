@@ -85,6 +85,16 @@ class TestAugmentSplit:
         assert len(manifest.entries) == before + 10 * 14
         assert all((out / e.path).exists() for e in manifest.entries)
 
+    def test_augment_twice_exits_2_without_writing(self, tmp_path):
+        out = run_gen(tmp_path)
+        assert main(["augment", "--manifest", str(out / "manifest.json")]) == 0
+        manifest = Manifest.load(out / "manifest.json")
+        victim = next(e for e in manifest.entries if e.origin != "original")
+        (out / victim.path).unlink()
+        assert main(["augment", "--manifest", str(out / "manifest.json")]) == 2
+        assert not (out / victim.path).exists()
+        assert Manifest.load(out / "manifest.json").to_json() == manifest.to_json()
+
     def test_augment_missing_file_exits_3(self, tmp_path):
         out = run_gen(tmp_path)
         manifest = Manifest.load(out / "manifest.json")

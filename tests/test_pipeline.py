@@ -1,10 +1,13 @@
 """Resize, augmentation, splitting, manifest, and PPM format contracts."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ihvit import pipeline
 from ihvit.errors import ConfigError, FormatError, InputError
 from ihvit.pipeline import (
     AugmentPlan,
@@ -28,7 +31,58 @@ def make_image(w=64, h=48, label=1, seed=0):
                         label=label, defect_free=label == 0)
 
 
+def bilinear_oracle(pixels, tw, th):
+    """Resample one pixel at a time in Python floats, with the expression
+    ``_resize_array`` documents: taps at half-pixel centres clamped to the
+    image, ``a*(1-f) + b*f`` along x and then y, half-to-even ``round``."""
+    h, w = pixels.shape[:2]
+    src = pixels.tolist()
+
+    def taps(i, scale, n):
+        s = (i + 0.5) * scale - 0.5
+        i0 = min(max(math.floor(s), 0), n - 1)
+        return i0, min(i0 + 1, n - 1), min(max(s - i0, 0.0), 1.0)
+
+    out = np.empty((th, tw, 3), dtype=np.uint8)
+    cols = [taps(x, w / tw, w) for x in range(tw)]
+    for y in range(th):
+        y0, y1, fy = taps(y, h / th, h)
+        for x, (x0, x1, fx) in enumerate(cols):
+            for c in range(3):
+                top = src[y0][x0][c] * (1 - fx) + src[y0][x1][c] * fx
+                bottom = src[y1][x0][c] * (1 - fx) + src[y1][x1][c] * fx
+                out[y, x, c] = min(max(round(top * (1 - fy) + bottom * fy), 0), 255)
+    return out
+
+
 class TestResize:
+    @pytest.mark.parametrize("src_hw, target_wh", [
+        # output heights around the 64-row block edge, up and down
+        ((50, 9), (7, 1)), ((50, 9), (7, 63)), ((50, 9), (7, 64)),
+        ((50, 9), (11, 65)), ((200, 9), (5, 129)), ((129, 3), (4, 64)),
+        # the scale variants' 1.15x and 1.3x upscales
+        ((53, 37), (43, 61)), ((70, 45), (59, 91)),
+        # load_split's downscale
+        ((260, 300), (224, 224)),
+        ((2, 2), (1, 1)),
+    ])
+    def test_matches_per_pixel_oracle(self, src_hw, target_wh):
+        h, w = src_hw
+        px = make_image(w, h, seed=h * w).pixels
+        assert np.array_equal(_resize_array(px, *target_wh), bilinear_oracle(px, *target_wh))
+
+    def test_quarter_turn_view_matches_oracle(self):
+        # the rotate variant: a rot90 view, resized back to the source extents
+        px = make_image(45, 70, seed=4).pixels
+        turned = np.rot90(px)
+        assert turned.shape[:2] == (45, 70)
+        assert np.array_equal(_resize_array(turned, 45, 70), bilinear_oracle(turned, 45, 70))
+
+    def test_strided_view_matches_oracle(self):
+        px = make_image(90, 140, seed=5).pixels[::2, ::-3]
+        assert not px.flags.c_contiguous
+        assert np.array_equal(_resize_array(px, 41, 66), bilinear_oracle(px, 41, 66))
+
     def test_512x480_to_224(self):
         img = make_image(512, 480)
         out = _resize_array(img.pixels, 224, 224)
@@ -128,6 +182,56 @@ class TestAugmentManifest:
         (tmp_path / "d0.ppm").unlink()
         with pytest.raises(FileNotFoundError, match="d0.ppm"):
             augment_manifest(manifest, tmp_path)
+
+    def test_second_run_fails_before_writing(self, tmp_path):
+        manifest = self._dataset(tmp_path, n_normal=1, n_defect=2)
+        once, _ = augment_manifest(manifest, tmp_path)
+        variants = [tmp_path / e.path for e in once.entries if e.origin != "original"]
+        victim, kept = variants[5], variants[-1]
+        victim.unlink()
+        stamp = kept.stat().st_mtime_ns
+        with pytest.raises(InputError, match="duplicate manifest paths"):
+            augment_manifest(once, tmp_path)
+        assert not victim.exists()
+        assert kept.stat().st_mtime_ns == stamp
+
+    def _mixed_sizes(self, tmp_path):
+        # output heights on both sides of _resize_array's 64-row blocks
+        entries = []
+        for i, (w, h) in enumerate([(24, 24), (70, 130), (97, 64), (40, 2)]):
+            write_ppm(make_image(w, h, label=1 + i, seed=200 + i), tmp_path / f"d{i}.ppm")
+            entries.append(ManifestEntry(path=f"d{i}.ppm", label=1 + i, defect_free=False))
+        return Manifest(seed=3, entries=entries)
+
+    def test_same_bytes_for_every_thread_count(self, tmp_path, monkeypatch):
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("IHVIT_THREADS", threads)
+            d = tmp_path / threads
+            d.mkdir()
+            out, added = augment_manifest(self._mixed_sizes(d), d)
+            runs.append((out.to_json(), {e.path: (d / e.path).read_bytes() for e in out.entries}))
+        assert added == 4 * 14
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_variant_error_reaches_the_caller(self, tmp_path, monkeypatch, threads):
+        class Planted(Exception):
+            pass
+
+        real = pipeline._apply_variant
+
+        def failing(img, plan, family, index, seed):
+            if family == "crop":
+                raise Planted(f"crop {index}")
+            return real(img, plan, family, index, seed)
+
+        monkeypatch.setenv("IHVIT_THREADS", threads)
+        monkeypatch.setattr(pipeline, "_apply_variant", failing)
+        manifest = self._mixed_sizes(tmp_path)
+        with pytest.raises(Planted, match="crop 0"):
+            augment_manifest(manifest, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [e.path for e in manifest.entries]
 
     def test_paper_scale_arithmetic(self):
         # 542 defect originals produce 542 * 14 = 7588 augmented rows
