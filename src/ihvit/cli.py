@@ -65,11 +65,8 @@ def cmd_split(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_run_config(args.config, args.set, seed=args.seed)
-    if args.epochs is not None:
-        if args.epochs < 1:
-            raise ConfigError(f"--epochs must be >= 1, got {args.epochs}")
-        cfg.train.epochs = args.epochs
+    epochs = [] if args.epochs is None else [f"train.epochs={args.epochs}"]
+    cfg = load_run_config(args.config, args.set + epochs, seed=args.seed)
     path = Path(args.manifest)
     manifest = Manifest.load(path)
     arm = build_arm(args.arm, cfg.vit, cfg.resnet, fusion=cfg.fusion, seed=cfg.train.seed)

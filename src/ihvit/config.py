@@ -2,7 +2,7 @@
 
 Sections: synth, model (vit, resnet), train, fusion.  Every
 field has a default; the fully-defaulted document is valid; unknown keys
-are rejected.  Precedence: --set flag > file > default.
+are rejected.  Precedence: --seed and --epochs > --set flag > file > default.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from .errors import ConfigError
 from .resnet import ResNetConfig
 from .synth import SynthConfig
 from .train import FusionWeights, TrainConfig
-from .util import check_int_fields
 from .vit import ViTConfig
 
 
@@ -78,19 +77,17 @@ def apply_override(cfg: dict, spec: str) -> None:
 
 
 def _construct(d: dict) -> RunConfig:
-    """Build the typed config; each dataclass decodes its own JSON-shaped fields."""
+    """Build the typed config; each dataclass decodes and checks its own fields."""
     try:
-        cfg = RunConfig(
+        return RunConfig(
             synth=SynthConfig(**d["synth"]),
             vit=ViTConfig(**d["model"]["vit"]),
             resnet=ResNetConfig(**d["model"]["resnet"]),
             train=TrainConfig(**d["train"]),
             fusion=FusionWeights(**d["fusion"]),
         )
-        check_int_fields(cfg)
     except (TypeError, ValueError) as e:  # a value of the wrong type or shape
         raise ConfigError(f"invalid config value: {e}") from None
-    return cfg
 
 
 def load_run_config(path=None, overrides: list[str] | None = None,

@@ -29,25 +29,10 @@ TRANSLATE_DIRECTIONS = ("left", "right", "up", "down")
 TRANSLATE_FRACTION = 0.1
 
 _FAMILY_IDS = {"flip": 1, "rotate": 2, "scale": 3, "crop": 4, "translate": 5}
-
-
-@dataclass
-class AugmentPlan:
-    flips: tuple[str, ...] = FLIPS
-    rotations: tuple[int, ...] = ROTATIONS
-    scale_factors: tuple[float, ...] = SCALE_FACTORS
-    crop_count: int = CROP_COUNT
-    crop_fraction_range: tuple[float, float] = CROP_FRACTION_RANGE
-    translate_directions: tuple[str, ...] = TRANSLATE_DIRECTIONS
-    translate_fraction: float = TRANSLATE_FRACTION
-
-    def variants(self) -> list[tuple[str, int]]:
-        out = [("flip", i) for i in range(len(self.flips))]
-        out += [("rotate", i) for i in range(len(self.rotations))]
-        out += [("scale", i) for i in range(len(self.scale_factors))]
-        out += [("crop", i) for i in range(self.crop_count)]
-        out += [("translate", i) for i in range(len(self.translate_directions))]
-        return out
+# (family, index) of every variant, in the order augment_all returns them
+VARIANTS = [(family, i) for family, n in (
+    ("flip", len(FLIPS)), ("rotate", len(ROTATIONS)), ("scale", len(SCALE_FACTORS)),
+    ("crop", CROP_COUNT), ("translate", len(TRANSLATE_DIRECTIONS))) for i in range(n)]
 
 
 @dataclass
@@ -298,36 +283,35 @@ def _center_crop(pixels: np.ndarray, w: int, h: int) -> np.ndarray:
     return pixels[y0:y0 + h, x0:x0 + w]
 
 
-def _apply_variant(img: LabeledImage, plan: AugmentPlan, family: str, index: int,
-                   seed: int) -> np.ndarray:
+def _apply_variant(img: LabeledImage, family: str, index: int, seed: int) -> np.ndarray:
     px = img.pixels
     w, h = img.width, img.height
     if family == "flip":
-        return px[:, ::-1] if plan.flips[index] == "horizontal" else px[::-1, :]
+        return px[:, ::-1] if FLIPS[index] == "horizontal" else px[::-1, :]
     if family == "rotate":
-        deg = plan.rotations[index]
+        deg = ROTATIONS[index]
         rotated = np.rot90(px, k=deg // 90)
         if rotated.shape[:2] != (h, w):  # quarter turns swap extents; restore them
             rotated = _resize_array(rotated, w, h)
         return rotated
     if family == "scale":
-        f = plan.scale_factors[index]
+        f = SCALE_FACTORS[index]
         big = _resize_array(px, max(w + 1, round(w * f)), max(h + 1, round(h * f)))
         return _center_crop(big, w, h)
     if family == "crop":
         rng = _variant_rng(seed, family, index)
-        lo, hi = plan.crop_fraction_range
-        f = rng.uniform(lo, hi)
-        cw = max(2, round(w * f))
-        ch = max(2, round(h * f))
+        f = rng.uniform(*CROP_FRACTION_RANGE)
+        # a window of 2 px a side at least, and never wider than the image
+        cw = min(w, max(2, round(w * f)))
+        ch = min(h, max(2, round(h * f)))
         x0 = int(rng.integers(0, w - cw + 1))
         y0 = int(rng.integers(0, h - ch + 1))
         return _resize_array(px[y0:y0 + ch, x0:x0 + cw], w, h)
     if family == "translate":
         dx = dy = 0
-        shift_x = max(1, round(w * plan.translate_fraction))
-        shift_y = max(1, round(h * plan.translate_fraction))
-        direction = plan.translate_directions[index]
+        shift_x = max(1, round(w * TRANSLATE_FRACTION))
+        shift_y = max(1, round(h * TRANSLATE_FRACTION))
+        direction = TRANSLATE_DIRECTIONS[index]
         if direction == "left":
             dx = -shift_x
         elif direction == "right":
@@ -346,25 +330,22 @@ def _apply_variant(img: LabeledImage, plan: AugmentPlan, family: str, index: int
     raise ConfigError(f"unknown augmentation family {family!r}")
 
 
-def augment_all(img: LabeledImage, plan: AugmentPlan | None = None,
-                seed: int = 0) -> list[LabeledImage]:
-    """Emit the full variant set (14 by default) at the source image's size.
+def augment_all(img: LabeledImage, seed: int = 0) -> list[LabeledImage]:
+    """Emit the 14 ``VARIANTS`` at the source image's size, in that order.
 
     The variants are computed through ``util.run_all``, so with
-    ``IHVIT_THREADS`` of 2 or more the threads share them; they come back in
-    ``plan.variants()`` order.  Each variant is a pure function of the image,
-    the plan and ``seed``, and ``_resize_array`` gives the same bytes however
-    it is called, so the pixels do not depend on the thread count.
+    ``IHVIT_THREADS`` of 2 or more the threads share them.  Each variant is
+    a pure function of the image and ``seed``, and ``_resize_array`` gives
+    the same bytes however it is called, so the pixels do not depend on the
+    thread count.
     """
-    plan = plan or AugmentPlan()
-    variants = plan.variants()
-    pixels = run_all([partial(_apply_variant, img, plan, family, index, seed)
-                      for family, index in variants])
+    pixels = run_all([partial(_apply_variant, img, family, index, seed)
+                      for family, index in VARIANTS])
     return [replace(img, pixels=px, source_tag=f"augmented:{family}:{index}")
-            for px, (family, index) in zip(pixels, variants)]
+            for px, (family, index) in zip(pixels, VARIANTS)]
 
 
-def augment_manifest(manifest: Manifest, base_dir, plan: AugmentPlan | None = None,
+def augment_manifest(manifest: Manifest, base_dir,
                      only_defect: bool = True) -> tuple[Manifest, int]:
     """Materialize variants next to their sources; returns (manifest, added).
 
@@ -372,7 +353,6 @@ def augment_manifest(manifest: Manifest, base_dir, plan: AugmentPlan | None = No
     variant path the manifest already lists (say, on a second run over an
     augmented manifest) raises ``InputError`` with the disk untouched.
     """
-    plan = plan or AugmentPlan()
     base = Path(base_dir)
     sources = [e for e in manifest.entries
                if e.origin == "original" and (not only_defect or not e.defect_free)]
@@ -383,12 +363,12 @@ def augment_manifest(manifest: Manifest, base_dir, plan: AugmentPlan | None = No
         path=str(Path(e.path).parent / f"{Path(e.path).stem}_aug_{family}{index}.ppm"),
         label=e.label, defect_free=e.defect_free, split="none",
         origin=f"augmented:{family}:{index}",
-    ) for family, index in plan.variants()] for e in sources]
+    ) for family, index in VARIANTS] for e in sources]
     added = [t for ts in targets for t in ts]
     out = Manifest(seed=manifest.seed, entries=manifest.entries + added)
     for i, (entry, ts) in enumerate(zip(sources, targets)):
         img = read_labeled(base / entry.path, entry)
-        for var, t in zip(augment_all(img, plan, seed=_entry_seed(manifest.seed, i)), ts):
+        for var, t in zip(augment_all(img, seed=_entry_seed(manifest.seed, i)), ts):
             write_ppm(var, base / t.path)
     return out, len(added)
 
@@ -408,6 +388,8 @@ def balance_and_split(manifest: Manifest, train_fraction: float = 0.8,
         raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
     if seed is None:
         seed = manifest.seed
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if not force and any(e.split != "none" for e in manifest.entries):
         raise ConfigError("manifest already split; pass force=True to re-split")
 

@@ -24,28 +24,25 @@ from .tensor import (
     mean,
     relu,
 )
+from .util import bounded, check_fields
 from .vit import kaiming_uniform, trunc_normal
 
 
 @dataclass
 class ResNetConfig:
-    stem_width: int = 16
-    stage_blocks: tuple[int, ...] = (1, 1, 1, 1)
-    stage_widths: tuple[int, ...] = (32, 64, 128, 256)
-    bottleneck: int = 4
-    classes: int = 6
+    stem_width: int = bounded(16, min=1)
+    stage_blocks: tuple[int, ...] = bounded((1, 1, 1, 1), min=1)
+    stage_widths: tuple[int, ...] = bounded((32, 64, 128, 256), min=1)
+    bottleneck: int = bounded(4, min=1)
+    classes: int = bounded(6, min=2)
 
     def __post_init__(self):
-        if isinstance(self.stage_blocks, list):
-            self.stage_blocks = tuple(self.stage_blocks)
-        if isinstance(self.stage_widths, list):
-            self.stage_widths = tuple(self.stage_widths)
-        if len(self.stage_blocks) != len(self.stage_widths):
-            raise ConfigError("stage_blocks and stage_widths differ in length")
-        if not self.stage_blocks:
-            raise ConfigError("stage_blocks and stage_widths must not be empty")
-        if self.bottleneck < 1:
-            raise ConfigError(f"bottleneck must be >= 1, got {self.bottleneck}")
+        # a JSON document gives the stage lists as lists
+        self.stage_blocks = tuple(self.stage_blocks)
+        self.stage_widths = tuple(self.stage_widths)
+        check_fields(self)
+        if not self.stage_blocks or len(self.stage_blocks) != len(self.stage_widths):
+            raise ConfigError("stage_blocks and stage_widths must be non-empty and of one length")
         for w in self.stage_widths:
             if w % self.bottleneck != 0:
                 raise ConfigError(f"stage width {w} not divisible by bottleneck {self.bottleneck}")

@@ -18,15 +18,16 @@ counterpart share base geometry, colors, and noise exactly:
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
 from .pipeline import LabeledImage, Manifest, ManifestEntry, write_ppm
-from .util import worker_count
+from .util import bounded, check_fields, worker_count
 
 DEFECT_KINDS = ("scratch", "missing_char", "pin_defect", "uneven_char", "glue_blob")
 DEFAULT_CLASSES = ("normal",) + DEFECT_KINDS
@@ -36,6 +37,8 @@ DEFAULT_CLASSES = ("normal",) + DEFECT_KINDS
 DEFAULT_RESOLUTIONS = ((512, 480), (1440, 1080), (4608, 3456), (1276, 1702))
 DEFAULT_RESOLUTION_WEIGHTS = (0.4, 0.3, 0.15, 0.15)
 DEFAULT_MAX_EMIT_PIXELS = 2_200_000
+# the chip body's least share of a frame side, per density mode (see chip_geometry)
+CHIP_FRACTION_LOW = {"balanced": 0.75, "chip_in_corner": 0.22}
 
 DEFAULT_COUNTS = {
     "normal": 100,
@@ -49,14 +52,14 @@ DEFAULT_COUNTS = {
 
 @dataclass
 class SynthConfig:
-    seed: int = 0
-    resolutions: tuple[tuple[int, int], ...] = DEFAULT_RESOLUTIONS
-    resolution_weights: tuple[float, ...] = DEFAULT_RESOLUTION_WEIGHTS
+    seed: int = bounded(0, min=0)
+    resolutions: tuple[tuple[int, int], ...] = bounded(DEFAULT_RESOLUTIONS, min=1)
+    resolution_weights: tuple[float, ...] = bounded(DEFAULT_RESOLUTION_WEIGHTS, min=0)
     classes: tuple[str, ...] = DEFAULT_CLASSES
-    counts: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_COUNTS))
+    counts: dict[str, int] = bounded(DEFAULT_COUNTS, min=0)
     density: str = "balanced"  # balanced | chip_in_corner
-    noise_sigma: float = 2.0
-    max_emit_pixels: int = DEFAULT_MAX_EMIT_PIXELS
+    noise_sigma: float = bounded(2.0, min=0)
+    max_emit_pixels: int = bounded(DEFAULT_MAX_EMIT_PIXELS, min=1)
 
     def __post_init__(self):
         # a JSON document gives the sequences as lists
@@ -64,16 +67,25 @@ class SynthConfig:
         self.resolution_weights = tuple(self.resolution_weights)
         self.classes = tuple(self.classes)
         self.counts = dict(self.counts)
-        if self.density not in ("balanced", "chip_in_corner"):
+        check_fields(self)
+        if self.density not in CHIP_FRACTION_LOW:
             raise ConfigError(f"unknown density mode {self.density!r}")
         if len(self.resolutions) != len(self.resolution_weights):
             raise ConfigError("resolution pool and weights differ in length")
+        if not 0 < sum(self.resolution_weights) < math.inf:
+            raise ConfigError(f"resolution weights must sum to > 0, got {self.resolution_weights}")
+        for r in self.resolutions:
+            w, h = self.emit_size(r)
+            # the scratch keeps 2 px from each chip edge, so a chip side needs 4 px
+            if min(w, h) * CHIP_FRACTION_LOW[self.density] < 4:
+                raise ConfigError(f"resolution {r} is emitted at {w}x{h}, too small for a "
+                                  f"{self.density} chip 4 px a side")
         if len(self.classes) > 11:
             raise ConfigError(f"at most 11 classes supported, got {len(self.classes)}")
         if not self.classes or self.classes[0] != "normal":
             raise ConfigError("class list must start with 'normal'")
         for name in self.classes[1:]:
-            if _base_kind(name) not in DEFECT_KINDS:
+            if not isinstance(name, str) or _base_kind(name) not in DEFECT_KINDS:
                 raise ConfigError(
                     f"unknown class {name!r}; defect classes are {DEFECT_KINDS} "
                     "(optionally suffixed '#<variant>')"
@@ -81,8 +93,6 @@ class SynthConfig:
         unknown = set(self.counts) - set(self.classes)
         if unknown:
             raise ConfigError(f"counts given for unknown classes: {sorted(unknown)}")
-        if any(c < 0 for c in self.counts.values()):
-            raise ConfigError("negative class count")
         if sum(self.counts.get(c, 0) for c in self.classes) == 0:
             raise ConfigError("all class counts are zero; nothing to generate")
 

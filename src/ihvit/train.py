@@ -21,7 +21,7 @@ from .errors import ConfigError, FormatError, InputError
 from .pipeline import Manifest, read_ppm, _resize_array
 from .resnet import ResNetBranch, ResNetConfig
 from .tensor import Tape, Tensor, NumericsError, UsageError, cross_entropy
-from .util import check_int_fields, run_all, write_atomic
+from .util import bounded, check_fields, run_all, write_atomic
 from .vit import IMAGE_SIZE, ChannelSpec, ViTBranch, ViTConfig
 
 ARM_ORDER = ("resnet", "vit", "vit-conv", "vit-2ch", "ih-vit")
@@ -49,37 +49,30 @@ REFERENCE_ACC = {
 
 @dataclass
 class FusionWeights:
-    a_resnet: float = 1.0
-    a_vit: float = 1.0
+    a_resnet: float = bounded(1.0, above=0)
+    a_vit: float = bounded(1.0, above=0)
 
     def __post_init__(self):
-        if not (math.isfinite(self.a_resnet) and math.isfinite(self.a_vit)):
-            raise ConfigError("fusion weights must be finite")
-        if self.a_resnet <= 0 or self.a_vit <= 0:
-            raise ConfigError("fusion weights must be > 0")
+        check_fields(self)
 
 
 @dataclass
 class TrainConfig:
-    lr0: float = 0.001
-    lr_min: float = 0.0
-    epochs: int = 20
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 1e-4
-    batch_size: int = 8
-    seed: int = 0
-    target_accuracy: float | None = None  # optional early stop once reached
-    min_epochs: int = 1
+    lr0: float = bounded(0.001, above=0)
+    lr_min: float = bounded(0.0, min=0)
+    epochs: int = bounded(20, min=1)
+    # beta2 = 1 would make Adam's bias correction divide by zero
+    beta1: float = bounded(0.9, min=0, below=1)
+    beta2: float = bounded(0.999, min=0, below=1)
+    eps: float = bounded(1e-8, above=0)
+    weight_decay: float = bounded(1e-4, min=0)
+    batch_size: int = bounded(8, min=1)
+    seed: int = bounded(0, min=0)
+    target_accuracy: float | None = bounded(None, min=0)  # optional early stop once reached
+    min_epochs: int = bounded(1, min=1)
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0 < self.lr0:
-            raise ConfigError(f"lr0 must be > 0, got {self.lr0}")
+        check_fields(self)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +302,8 @@ def build_arm(name: str, vit_cfg: ViTConfig, resnet_cfg: ResNetConfig,
               dtype: str = "f32") -> Arm:
     if name not in ARM_ORDER:
         raise ConfigError(f"unknown arm {name!r}; expected one of {ARM_ORDER}")
+    if name == "ih-vit" and resnet_cfg.classes != vit_cfg.classes:
+        raise ConfigError(f"ih-vit branch classes differ: {resnet_cfg.classes} vs {vit_cfg.classes}")
     fusion = fusion or FusionWeights()
     resnet = vit = None
     if name in ("resnet", "ih-vit"):
@@ -341,9 +336,7 @@ def arm_from_checkpoint(path) -> Arm:
         vit_cfg = ViTConfig(**model["vit"])
         resnet_cfg = ResNetConfig(**model["resnet"])
         fusion = FusionWeights(**config.get("fusion", {}))
-        for cfg in (vit_cfg, resnet_cfg, fusion):
-            check_int_fields(cfg)
-    except (TypeError, ValueError) as e:  # a header value of the wrong type or shape
+    except (ConfigError, TypeError, ValueError) as e:  # a header value outside its domain
         raise FormatError(f"{path}: invalid model config in header: {e}") from None
     arm = build_arm(name, vit_cfg, resnet_cfg, fusion=fusion, seed=0)
     params = arm.parameters()
@@ -382,12 +375,11 @@ def load_split(manifest: Manifest, base_dir, split: str) -> tuple[np.ndarray, np
     return imgs, labels
 
 
-def _batch_tensor(imgs: np.ndarray, dtype: str = "f32") -> Tensor:
-    """[N, H, W, 3] bytes as a C-contiguous [N, 3, H, W] tensor in [0, 1]."""
-    arr = np.ascontiguousarray(imgs.transpose(0, 3, 1, 2),
-                               dtype=np.float32 if dtype == "f32" else np.float64)
-    arr /= arr.dtype.type(255.0)
-    return Tensor(arr, dtype=dtype)
+def _batch_tensor(imgs: np.ndarray) -> Tensor:
+    """[N, H, W, 3] bytes as a C-contiguous f32 [N, 3, H, W] tensor in [0, 1]."""
+    arr = np.ascontiguousarray(imgs.transpose(0, 3, 1, 2), dtype=np.float32)
+    arr /= np.float32(255.0)
+    return Tensor(arr)
 
 
 # ---------------------------------------------------------------------------
@@ -465,12 +457,11 @@ def config_hash(obj) -> str:
 
 
 def evaluate(arm: Arm, imgs: np.ndarray, labels: np.ndarray,
-             batch_size: int = 16, classes: int | None = None) -> tuple[float, np.ndarray]:
+             batch_size: int = 16) -> tuple[float, np.ndarray]:
     """Accuracy and K x K confusion matrix (rows = true class)."""
     if len(imgs) == 0:
         raise InputError("evaluate: empty test set")
-    if classes is None:
-        classes = (arm.resnet or arm.vit).config.classes
+    classes = (arm.resnet or arm.vit).config.classes
     confusion = np.zeros((classes, classes), dtype=np.int64)
     for i in range(0, len(imgs), batch_size):
         x = _batch_tensor(imgs[i:i + batch_size])
@@ -482,10 +473,8 @@ def evaluate(arm: Arm, imgs: np.ndarray, labels: np.ndarray,
     return accuracy, confusion
 
 
-def evaluate_manifest(arm: Arm, manifest: Manifest, base_dir,
-                      batch_size: int = 16) -> tuple[float, np.ndarray]:
-    imgs, labels = load_split(manifest, base_dir, "test")
-    return evaluate(arm, imgs, labels, batch_size=batch_size)
+def evaluate_manifest(arm: Arm, manifest: Manifest, base_dir) -> tuple[float, np.ndarray]:
+    return evaluate(arm, *load_split(manifest, base_dir, "test"))
 
 
 def _forward_backward(arm: Arm, x: Tensor, y: np.ndarray, weights: list[float]) -> float:
@@ -515,7 +504,6 @@ def train(arm: Arm, manifest: Manifest, base_dir, cfg: TrainConfig,
     loss, backward, Adam step under cosine decay; per-epoch test evaluation."""
     train_x, train_y = load_split(manifest, base_dir, "train")
     test_x, test_y = load_split(manifest, base_dir, "test")
-    classes = (arm.resnet or arm.vit).config.classes
 
     params = arm.parameters()
     adam = Adam(params, cfg)
@@ -546,7 +534,7 @@ def train(arm: Arm, manifest: Manifest, base_dir, cfg: TrainConfig,
             adam.step(lr)
             epoch_losses.append(loss)
             step += 1
-        acc, confusion = evaluate(arm, test_x, test_y, classes=classes)
+        acc, confusion = evaluate(arm, test_x, test_y)
         loss_curve.append(float(np.mean(epoch_losses)))
         acc_curve.append(acc)
         epochs_run = epoch + 1

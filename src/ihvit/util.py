@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+import operator
 import os
 import threading
 import uuid
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import MISSING, field, fields
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -96,6 +99,18 @@ def write_atomic(path, chunks: Iterable[bytes]) -> None:
         raise
 
 
+# what a bounded field may declare: bound -> (symbol, test a number must pass)
+_BOUNDS = {"min": (">=", operator.ge), "above": (">", operator.gt), "below": ("<", operator.lt)}
+
+
+def bounded(default, **domain):
+    """A dataclass field with ``default`` whose numbers :func:`check_fields`
+    checks against ``domain``: ``min`` (inclusive), ``above`` or ``below``."""
+    if isinstance(default, dict):
+        return field(default_factory=partial(dict, default), metadata=domain)
+    return field(default=default, metadata=domain)
+
+
 def _leaves(v) -> list:
     """The scalars in ``v``, through nested tuples and dict values."""
     if isinstance(v, dict):
@@ -105,23 +120,32 @@ def _leaves(v) -> list:
     return [v]
 
 
-def check_int_fields(cfg) -> None:
-    """Raise ``TypeError`` where a dataclass field whose default is an int,
-    or a tuple or dict of ints, holds anything but ints there, in ``cfg``
-    and the dataclasses it nests.
+def check_fields(cfg) -> None:
+    """Raise ``ConfigError`` where a :func:`bounded` field of the dataclass
+    ``cfg`` holds a value outside its domain.
 
-    JSON has one number type, so ``1.5`` or ``true`` can reach a count or
-    a size; bool is ruled out by type, as it subclasses int.
+    A field whose default is an int, or a tuple or dict of ints, takes ints
+    only: JSON has one number type, so ``1.5`` or ``true`` can reach a count
+    or a size.  Other bounded fields take ints and floats (and None where
+    that is the default).  Every number must be finite and within bounds.
     """
     for f in fields(cfg):
         v = getattr(cfg, f.name)
+        if not f.metadata or (v is None and f.default is None):
+            continue
         default = f.default if f.default_factory is MISSING else f.default_factory()
-        want = _leaves(default)
-        if want and all(type(d) is int for d in want):
-            bad = [x for x in _leaves(v) if type(x) is not int]
-            if bad:
-                must = "be an integer" if type(default) is int else "hold only integers"
-                raise TypeError(f"{type(cfg).__name__}.{f.name} must {must}, got {v!r}")
-        for item in v if isinstance(v, tuple) else (v,):
-            if is_dataclass(item):
-                check_int_fields(item)
+        integral = all(type(d) is int for d in _leaves(default))
+        one = not isinstance(v, (tuple, dict))
+        domain = " and ".join(f"{_BOUNDS[k][0]} {b}" for k, b in f.metadata.items())
+        for x in _leaves(v):
+            if integral and type(x) is not int:  # bool subclasses int
+                must = "be an integer" if one else "hold only integers"
+            elif type(x) is bool or not isinstance(x, (int, float)):
+                must = "be a number" if one else "hold only numbers"
+            elif isinstance(x, float) and not math.isfinite(x):  # an int is finite
+                must = "be finite" if one else "hold only finite numbers"
+            elif not all(_BOUNDS[k][1](x, b) for k, b in f.metadata.items()):
+                must = f"be {domain}" if one else f"hold only numbers {domain}"
+            else:
+                continue
+            raise ConfigError(f"{type(cfg).__name__}.{f.name} must {must}, got {v!r:.60}")

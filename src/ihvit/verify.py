@@ -17,7 +17,7 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import FormatError
-from .pipeline import AugmentPlan, LabeledImage, augment_all, read_ppm, write_ppm
+from .pipeline import LabeledImage, augment_all, read_ppm, write_ppm
 from .resnet import ResNetBranch, ResNetConfig
 from .tensor import Tensor, grad_check
 from .train import FusionWeights, combined_loss, cosine_lr, decision_fuse
@@ -333,7 +333,7 @@ def check_augment_count() -> str:
     img = LabeledImage(width=32, height=24,
                        pixels=rng.integers(0, 256, size=(24, 32, 3), dtype=np.uint8),
                        label=1, defect_free=False)
-    variants = augment_all(img, AugmentPlan(), seed=1)
+    variants = augment_all(img, seed=1)
     ok = len(variants) == 14 and all(v.pixels.shape == img.pixels.shape for v in variants)
     return _require(ok, f"{len(variants)} variants, dims preserved")
 

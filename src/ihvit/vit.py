@@ -32,6 +32,7 @@ from .tensor import (
     layernorm,
     transpose,
 )
+from .util import bounded, check_fields
 
 EMBED_PATHS = ("convblock", "conv_only", "linear")
 # side of the square input every ViT arm tiles; load_split resizes to it
@@ -42,14 +43,13 @@ IMAGE_SIZE = 224
 class ChannelSpec:
     """One segmentation channel: patch size and embedding path."""
 
-    patch: int = 16
+    patch: int = bounded(16, min=2)
     embed: str = "convblock"
 
     def __post_init__(self):
+        check_fields(self)
         if self.embed not in EMBED_PATHS:
             raise ConfigError(f"unknown embed path {self.embed!r}; expected {EMBED_PATHS}")
-        if self.patch < 2:
-            raise ConfigError(f"patch size must be >= 2, got {self.patch}")
 
     def conv_spatial(self) -> tuple[int, int]:
         """(after-conv, after-pool) spatial extents for the conv paths."""
@@ -75,19 +75,20 @@ class ViTConfig:
         ChannelSpec(16, "convblock"),
         ChannelSpec(32, "conv_only"),
     )
-    dim: int = 75
-    depth: int = 6
-    heads: int = 3
-    mlp_hidden: int = 300
-    classes: int = 6
-    eps: float = 1e-5
+    dim: int = bounded(75, min=1)
+    depth: int = bounded(6, min=1)
+    heads: int = bounded(3, min=1)
+    mlp_hidden: int = bounded(300, min=1)
+    classes: int = bounded(6, min=2)
+    eps: float = bounded(1e-5, above=0)
 
     def __post_init__(self):
         # a JSON document gives channels as a list of {patch, embed} objects
         self.channels = tuple(ChannelSpec(**ch) if isinstance(ch, dict) else ch
                               for ch in self.channels)
-        if self.heads < 1 or self.depth < 1 or self.classes < 2:
-            raise ConfigError("heads and depth must be >= 1 and classes >= 2")
+        check_fields(self)
+        if not self.channels:
+            raise ConfigError("channels must not be empty")
         if self.dim % self.heads != 0:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
         for ch in self.channels:

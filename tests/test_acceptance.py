@@ -15,7 +15,6 @@ import pytest
 from ihvit import tensor as T
 from ihvit.errors import FormatError
 from ihvit.pipeline import (
-    AugmentPlan,
     LabeledImage,
     Manifest,
     ManifestEntry,
@@ -196,7 +195,7 @@ def test_criterion_5_pipeline_counts():
     img = LabeledImage(width=40, height=30,
                        pixels=rng.integers(0, 256, (30, 40, 3), dtype=np.uint8),
                        label=1, defect_free=False)
-    variants = augment_all(img, AugmentPlan(), seed=1)
+    variants = augment_all(img, seed=1)
     ok = len(variants) == 14
 
     # a 542-entry defect manifest expands by exactly 14 per original: 7588 rows

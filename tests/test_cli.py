@@ -9,7 +9,7 @@ import pytest
 from ihvit.cli import main
 from ihvit.config import apply_override, default_config_dict, load_run_config
 from ihvit.errors import ConfigError
-from ihvit.pipeline import Manifest, read_ppm
+from ihvit.pipeline import Manifest, ManifestEntry, read_ppm, write_ppm
 
 
 SMALL_SYNTH = [
@@ -28,6 +28,47 @@ TINY_MODEL = [
     "--set", "model.resnet.stage_widths=[16,32]",
     "--set", "train.batch_size=16",
 ]
+
+
+def _has_number(v) -> bool:
+    if isinstance(v, dict):
+        v = list(v.values())
+    if isinstance(v, (list, tuple)):
+        return any(_has_number(x) for x in v)
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _put_first(v, x):
+    """``v`` with its first number, through lists and objects, replaced by ``x``."""
+    if isinstance(v, (list, tuple)):
+        i = next(i for i, item in enumerate(v) if _has_number(item))
+        return [*v[:i], _put_first(v[i], x), *v[i + 1:]]
+    if isinstance(v, dict):
+        k = next(k for k, item in v.items() if _has_number(item))
+        return {**v, k: _put_first(v[k], x)}
+    return x
+
+
+def _numeric_fields(node, path=()):
+    """(dotted key, value) of every config field holding a number."""
+    for k, v in node.items():
+        if isinstance(v, dict) and k != "counts":
+            yield from _numeric_fields(v, path + (k,))
+        elif _has_number(v):
+            yield ".".join(path + (k,)), v
+
+
+def _tiny_config() -> dict:
+    cfg = default_config_dict()
+    for spec in (SMALL_SYNTH + TINY_MODEL)[1::2]:
+        apply_override(cfg, spec)
+    return cfg
+
+
+# 0, -1 and 1.5 in every numeric field of the tiny config: the first element
+# of a list, one class of counts and the patch of the first channel
+GENERATED = [f"{key}={json.dumps(_put_first(v, x), separators=(',', ':'))}"
+             for key, v in _numeric_fields(_tiny_config()) for x in (0, -1, 1.5)]
 
 
 def run_gen(tmp_path, seed=7):
@@ -109,6 +150,21 @@ class TestAugmentSplit:
         (out / "manifest.json").write_text(json.dumps(doc))
         assert main(["augment", "--manifest", str(out / "manifest.json")]) == 3
 
+    def test_augment_frame_one_pixel_high(self, tmp_path):
+        pixels = np.random.default_rng(0).integers(0, 256, size=(1, 200, 3), dtype=np.uint8)
+        write_ppm(pixels, tmp_path / "thin.ppm")
+        Manifest(seed=1, entries=[ManifestEntry("thin.ppm", 1, False)]).save(tmp_path / "m.json")
+        assert main(["augment", "--manifest", str(tmp_path / "m.json")]) == 0
+        manifest = Manifest.load(tmp_path / "m.json")
+        assert len(manifest.entries) == 15
+        assert all(read_ppm(tmp_path / e.path).shape == (1, 200, 3) for e in manifest.entries)
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = run_gen(tmp_path)
+        assert main(["split", "--manifest", str(out / "manifest.json"), "--seed", "-1"]) == 2
+        assert main(["gen", "--out", str(tmp_path / "x"), "--seed", "-1"]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
     def test_split_then_resplit_guard(self, tmp_path):
         out = run_gen(tmp_path)
         assert main(["split", "--manifest", str(out / "manifest.json"),
@@ -180,6 +236,8 @@ class TestTrainEval:
         # values a model cannot be built with
         "model.vit.heads=0", "model.resnet.bottleneck=0",
         'model.resnet={"stage_blocks": [], "stage_widths": []}',
+        "model.resnet.stage_blocks=[1,1,1,0]", "model.vit.channels=[]",
+        "train.min_epochs=-3", "train.lr0=true", "train.beta2=1",
     ])
     def test_mistyped_config_value_exits_2(self, trained, override, capsys):
         data, run = trained
@@ -187,6 +245,18 @@ class TestTrainEval:
                    "--out", str(run), "--set", override])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", GENERATED)
+    def test_generated_value_exits_0_or_2(self, trained, tmp_path, override, capsys):
+        data, _ = trained
+        if override.startswith("synth."):
+            argv = ["gen", "--out", str(tmp_path / "data")] + SMALL_SYNTH
+        else:  # train.epochs=1 first, so that a train.epochs case overrides it
+            argv = ["train", "--manifest", str(data / "manifest.json"), "--arm", "ih-vit",
+                    "--out", str(tmp_path / "run"), "--set", "train.epochs=1"] + TINY_MODEL
+        rc = main(argv + ["--set", override])
+        assert rc in (0, 2)
+        assert rc == 0 or "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override", [
         "model.resnet.stage_blocks=[1.5,1,1,1]", "model.resnet.stage_widths=[32.0,64,128,256]",
@@ -264,6 +334,10 @@ class TestTrainEval:
         (("config", "vit", "image_size"), 112, "vit.image_size must be 224, got 112"),
         (("config", "resnet"), {"norm": False}, "resnet.norm must be true, got false"),
         (("config", "resnet"), {"residual": 1}, "resnet.residual must be true, got 1"),
+        # a value outside its field's domain
+        (("config", "vit", "heads"), 0, "ViTConfig.heads must be >= 1, got 0"),
+        (("config", "resnet"), {"stem_width": 0}, "ResNetConfig.stem_width must be >= 1, got 0"),
+        (("config", "fusion", "a_vit"), 0, "FusionWeights.a_vit must be > 0, got 0"),
     ])
     def test_eval_on_mistyped_header_exits_3(self, trained, tmp_path, capsys,
                                              keys, value, message):

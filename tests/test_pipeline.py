@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from ihvit import pipeline
 from ihvit.errors import ConfigError, FormatError, InputError
 from ihvit.pipeline import (
-    AugmentPlan,
     LabeledImage,
     Manifest,
     ManifestEntry,
@@ -105,16 +104,22 @@ class TestResize:
 class TestAugment:
     def test_fourteen_variants_same_dims_and_label(self):
         img = make_image(60, 44, label=2)
-        out = augment_all(img, AugmentPlan(), seed=5)
+        out = augment_all(img, seed=5)
         assert len(out) == 14
         for v in out:
             assert (v.width, v.height) == (60, 44)
             assert v.label == 2
             assert v.source_tag.startswith("augmented:")
 
+    @pytest.mark.parametrize("w, h", [(200, 1), (1, 200), (1, 1), (3, 1)])
+    def test_frames_under_two_pixels_a_side(self, w, h):
+        # a crop window is 2 px a side at least, but never wider than the frame
+        out = augment_all(make_image(w, h), seed=4)
+        assert len(out) == 14
+        assert all(v.pixels.shape == (h, w, 3) for v in out)
+
     def test_family_counts(self):
-        plan = AugmentPlan()
-        variants = plan.variants()
+        variants = pipeline.VARIANTS
         by_family = {}
         for fam, _ in variants:
             by_family[fam] = by_family.get(fam, 0) + 1
@@ -123,28 +128,27 @@ class TestAugment:
 
     def test_horizontal_flip_is_involution(self):
         img = make_image(32, 24)
-        plan = AugmentPlan()
-        once = augment_all(img, plan, seed=0)[0]
-        twice = augment_all(once, plan, seed=0)[0]
+        once = augment_all(img, seed=0)[0]
+        twice = augment_all(once, seed=0)[0]
         assert np.array_equal(twice.pixels, img.pixels)
 
     def test_rotate_180_reverses_both_axes(self):
         img = make_image(16, 12)
-        rot = augment_all(img, AugmentPlan(), seed=0)[3]
+        rot = augment_all(img, seed=0)[3]
         assert np.array_equal(rot.pixels, img.pixels[::-1, ::-1])
 
     def test_translate_fills_black(self):
         img = make_image(40, 40)
-        right = [v for v in augment_all(img, AugmentPlan(), seed=0)
+        right = [v for v in augment_all(img, seed=0)
                  if v.source_tag == "augmented:translate:1"][0]
         assert np.array_equal(right.pixels[:, :4], np.zeros((40, 4, 3), dtype=np.uint8))
         assert np.array_equal(right.pixels[:, 4:], img.pixels[:, :-4])
 
     def test_variants_deterministic_in_seed(self):
         img = make_image(30, 30)
-        a = augment_all(img, AugmentPlan(), seed=9)
-        b = augment_all(img, AugmentPlan(), seed=9)
-        c = augment_all(img, AugmentPlan(), seed=10)
+        a = augment_all(img, seed=9)
+        b = augment_all(img, seed=9)
+        c = augment_all(img, seed=10)
         assert all(np.array_equal(x.pixels, y.pixels) for x, y in zip(a, b))
         # crops draw their windows from the seed, so some variant must move
         assert any(not np.array_equal(x.pixels, y.pixels) for x, y in zip(a, c))
@@ -221,10 +225,10 @@ class TestAugmentManifest:
 
         real = pipeline._apply_variant
 
-        def failing(img, plan, family, index, seed):
+        def failing(img, family, index, seed):
             if family == "crop":
                 raise Planted(f"crop {index}")
-            return real(img, plan, family, index, seed)
+            return real(img, family, index, seed)
 
         monkeypatch.setenv("IHVIT_THREADS", threads)
         monkeypatch.setattr(pipeline, "_apply_variant", failing)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -274,6 +275,12 @@ class TestArms:
         ih = build_arm("ih-vit", TINY_VIT, TINY_RESNET, seed=0).vit
         assert [c.embed for c in ih.config.channels] == ["convblock", "conv_only"]
 
+    def test_branch_class_mismatch_rejected_at_build(self):
+        # the fused arm averages the two branches' class probabilities
+        with pytest.raises(ConfigError, match="classes differ: 7 vs 6"):
+            build_arm("ih-vit", TINY_VIT, replace(TINY_RESNET, classes=7))
+        assert build_arm("resnet", TINY_VIT, ResNetConfig(classes=7)).resnet.config.classes == 7
+
     def test_unknown_arm_rejected(self):
         with pytest.raises(ConfigError):
             build_arm("vgg", TINY_VIT, TINY_RESNET)
@@ -492,13 +499,12 @@ class TestBatchTensor:
         assert t.data[1, 0, 0, 0] == 1.0 and t.data[1, 0, 0, 1] == 0.0
         assert t.data[0].max() == 0.0 and t.data[1, 1:].max() == 0.0
 
-    @pytest.mark.parametrize("dtype", ["f32", "f64"])
-    def test_c_contiguous_nchw_with_unchanged_values(self, dtype):
+    def test_c_contiguous_nchw_with_unchanged_values(self):
         px = np.random.default_rng(4).integers(0, 256, size=(5, 224, 224, 3), dtype=np.uint8)
-        t = _batch_tensor(px, dtype)
-        assert t.data.flags.c_contiguous and t.dtype == dtype
+        t = _batch_tensor(px)
+        assert t.data.flags.c_contiguous and t.dtype == "f32"
         # the values of the NHWC-ordered view it used to return
-        arr = px.astype(np.float32 if dtype == "f32" else np.float64)
+        arr = px.astype(np.float32)
         want = arr.transpose(0, 3, 1, 2) / arr.dtype.type(255.0)
         assert t.data.dtype == want.dtype and np.array_equal(t.data, want)
         assert t.data[1:3].flags.c_contiguous  # a chunk of images needs no copy

@@ -1,12 +1,21 @@
 """run_all: the thread budget, work sharing, result order and error propagation;
-write_atomic: a failed write leaves the old file."""
+write_atomic: a failed write leaves the old file; check_fields: each config
+field's declared domain."""
 
+import re
 import threading
 import time
+from dataclasses import fields
 
 import pytest
 
+from ihvit.config import RunConfig
+from ihvit.errors import ConfigError
+from ihvit.resnet import ResNetConfig
+from ihvit.synth import SynthConfig
+from ihvit.train import FusionWeights, TrainConfig
 from ihvit.util import run_all, write_atomic
+from ihvit.vit import ChannelSpec, ViTConfig
 
 
 def _thread():
@@ -95,3 +104,49 @@ def test_failed_write_keeps_the_old_file_and_no_temp(tmp_path):
         write_atomic(path, chunks())
     assert path.read_bytes() == b"old"
     assert [p.name for p in tmp_path.iterdir()] == ["a.bin"]
+
+
+CONFIG_CLASSES = (SynthConfig, ChannelSpec, ViTConfig, ResNetConfig, TrainConfig, FusionWeights)
+
+
+def test_config_classes_cover_every_section():
+    sections = {type(getattr(RunConfig(), f.name)) for f in fields(RunConfig)}
+    assert sections | {ChannelSpec} == set(CONFIG_CLASSES)
+
+
+@pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_numeric_field_declares_a_bound(cls):
+    for f in fields(cls):
+        if re.search(r"\b(int|float)\b", f.type):  # the annotation, a string
+            assert f.metadata and set(f.metadata) <= {"min", "above", "below"}, f.name
+        else:
+            assert not f.metadata, f.name
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: TrainConfig(min_epochs=-3), "TrainConfig.min_epochs must be >= 1, got -3"),
+    (lambda: TrainConfig(beta2=1.0), "TrainConfig.beta2 must be >= 0 and < 1, got 1.0"),
+    (lambda: TrainConfig(lr0=float("nan")), "TrainConfig.lr0 must be finite, got nan"),
+    (lambda: TrainConfig(lr0="abc"), "TrainConfig.lr0 must be a number, got 'abc'"),
+    (lambda: TrainConfig(weight_decay=True), "TrainConfig.weight_decay must be a number"),
+    (lambda: TrainConfig(target_accuracy=-0.5), "TrainConfig.target_accuracy must be >= 0"),
+    (lambda: TrainConfig(seed=1.0), "TrainConfig.seed must be an integer, got 1.0"),
+    (lambda: FusionWeights(0.0, 1.0), "FusionWeights.a_resnet must be > 0, got 0.0"),
+    (lambda: ResNetConfig(stage_blocks=(1, 1), stage_widths=(0, 32)),
+     "ResNetConfig.stage_widths must hold only numbers >= 1, got (0, 32)"),
+    (lambda: SynthConfig(resolution_weights=(1.0, float("inf"), 0.0, 0.0)),
+     "SynthConfig.resolution_weights must hold only finite numbers"),
+    (lambda: SynthConfig(counts={"normal": 4, "scratch": -1}),
+     "SynthConfig.counts must hold only numbers >= 0"),
+    (lambda: ViTConfig(channels=({"patch": 1, "embed": "linear"},)),
+     "ChannelSpec.patch must be >= 2, got 1"),
+])
+def test_value_outside_its_domain_names_field_bound_and_value(make, message):
+    with pytest.raises(ConfigError) as exc:
+        make()
+    assert str(exc.value).startswith(message)
+
+
+def test_values_inside_their_domains_build():
+    TrainConfig(lr_min=0.0, beta1=0.0, beta2=0.0, weight_decay=0, target_accuracy=1.0)
+    FusionWeights(1, 0.5)
