@@ -149,8 +149,11 @@ class Manifest:
             raise FormatError(f"{path}: manifest must be a JSON object")
         if obj.get("version") != MANIFEST_SCHEMA_VERSION:
             raise FormatError(f"unsupported manifest version {obj.get('version')!r}")
+        seed = _field(obj, "seed", int, str(path))
+        if seed < 0:  # the per-entry SeedSequence takes no negative seed
+            raise FormatError(f"{path}: field 'seed' must be >= 0, got {seed}")
         return cls(
-            seed=_field(obj, "seed", int, str(path)),
+            seed=seed,
             entries=[ManifestEntry.from_json(e) for e in _field(obj, "entries", list, str(path))],
             version=obj["version"],
         )

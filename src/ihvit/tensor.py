@@ -7,15 +7,20 @@ global graph.  A tape is created per training step::
 
     with Tape() as tape:
         loss = cross_entropy(matmul(x, w), labels)
-    tape.backward(loss)      # populates .grad on reachable tensors
+    tape.backward(loss)      # populates .grad on the leaves the loss reaches
 
 Every forward output is checked for NaN/Inf through its minimum and
 maximum, which a NaN turns into NaN and an infinity into +-Inf; a
 non-finite value aborts the step with a diagnostic naming the operation.
+
+A tape keeps only what its backward pass reads and frees it as the pass
+goes.  ``.grad`` goes onto the tape's leaves only, the tensors it did not
+produce (parameters, inputs); intermediates get none.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from typing import Callable, Sequence
@@ -28,6 +33,10 @@ _DTYPE_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# every Tensor's identity on a tape; unlike id(), never reused once the
+# tensor dies, and next() on a count is atomic under the GIL
+_KEYS = itertools.count()
 
 
 class TensorError(Exception):
@@ -49,7 +58,7 @@ class NumericsError(TensorError):
 class Tensor:
     """Dense multi-dimensional array, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "_key")
 
     def __init__(self, data, dtype: str | None = None, requires_grad: bool = False):
         if dtype is not None and dtype not in _DTYPES:
@@ -63,6 +72,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        self._key = next(_KEYS)
         _ensure_finite("tensor", self.data)
 
     @classmethod
@@ -71,6 +81,7 @@ class Tensor:
         t.data = arr
         t.requires_grad = requires_grad
         t.grad = None
+        t._key = next(_KEYS)
         return t
 
     @property
@@ -102,6 +113,10 @@ class Tensor:
 
 
 class _Node:
+    """One recorded operation: its output's key and, per input, None when
+    the input needs no gradient, else ``(key, leaf)`` with ``leaf`` the
+    input itself if the tape did not produce it, and None if it did."""
+
     __slots__ = ("op", "inputs", "out", "backward")
 
     def __init__(self, op, inputs, out, backward):
@@ -115,7 +130,8 @@ class Tape:
     """Ordered record of one forward pass, consumed by one backward pass."""
 
     def __init__(self):
-        self._nodes: list[_Node] = []
+        self._nodes: list[_Node | None] = []
+        self._produced: set[int] = set()
         self._spent = False
 
     def __enter__(self) -> "Tape":
@@ -131,6 +147,13 @@ class Tape:
     def __len__(self) -> int:
         return len(self._nodes)
 
+    def _record(self, op: str, inputs: tuple[Tensor, ...], out: Tensor, backward) -> None:
+        made = self._produced
+        ins = tuple(((t._key, None if t._key in made else t) if t.requires_grad else None)
+                    for t in inputs)
+        made.add(out._key)
+        self._nodes.append(_Node(op, ins, out._key, backward))
+
     def backward(self, loss: Tensor, grad: np.ndarray | None = None) -> None:
         """Reverse sweep from ``loss``; gradients sum over all paths.
 
@@ -138,6 +161,12 @@ class Tape:
         with respect to ``loss``, or from ones when it is not given.  A
         loss that feeds a larger objective recorded on another tape takes
         its ``.grad`` from that tape's backward pass as ``grad`` here.
+
+        A node keeps keys, its leaf inputs (see :class:`_Node`) and a closure
+        over only the arrays and shapes its backward reads.  The sweep sets
+        each entry to None once it has passed that node's gradient on, which
+        frees what the node kept; the tape keeps its length.  Only leaves,
+        the tensors this tape did not produce, get ``.grad``.
         """
         if loss.data.size != 1:
             raise UsageError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -148,30 +177,29 @@ class Tape:
                              f"{loss.shape}")
         if self._spent:
             raise UsageError("tape already consumed by a backward pass")
-        produced = {id(n.out) for n in self._nodes}
-        if id(loss) not in produced:
+        if loss._key not in self._produced:
             raise UsageError("loss tensor was not produced on this tape")
         self._spent = True
 
-        grads: dict[int, np.ndarray] = {id(loss): np.asarray(grad, dtype=loss.data.dtype)}
-        holders: dict[int, Tensor] = {id(loss): loss}
-        for node in reversed(self._nodes):
-            g = grads.pop(id(node.out), None)
-            holders.pop(id(node.out), None)
+        nodes = self._nodes
+        grads: dict[int, np.ndarray] = {loss._key: np.asarray(grad, dtype=loss.data.dtype)}
+        leaves: dict[int, Tensor] = {}
+        for i in range(len(nodes) - 1, -1, -1):
+            node, nodes[i] = nodes[i], None
+            g = grads.pop(node.out, None)
             if g is None:
                 continue
-            if node.out.requires_grad:
-                node.out.grad = g
-            for t, gi in zip(node.inputs, node.backward(g)):
-                if gi is None or not t.requires_grad:
+            for inp, gi in zip(node.inputs, node.backward(g)):
+                if inp is None or gi is None:
                     continue
-                key = id(t)
+                key, leaf = inp
                 if key in grads:
                     grads[key] = grads[key] + gi
                 else:
                     grads[key] = gi
-                    holders[key] = t
-        for key, t in holders.items():
+                    if leaf is not None:
+                        leaves[key] = leaf
+        for key, t in leaves.items():
             t.grad = grads[key]
 
 
@@ -219,7 +247,7 @@ def _apply(op: str, out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_f
     out = Tensor._wrap(out_data, rg)
     tape = _current_tape()
     if tape is not None and rg:
-        tape._nodes.append(_Node(op, inputs, out, backward_fn))
+        tape._record(op, inputs, out, backward_fn)
     return out
 
 
@@ -242,10 +270,11 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_dtypes("add", a, b)
     na, nb = a.requires_grad, b.requires_grad
+    sa, sb = a.shape, b.shape
 
     def bwd(g):
-        return (_unbroadcast(g, a.shape) if na else None,
-                _unbroadcast(g, b.shape) if nb else None)
+        return (_unbroadcast(g, sa) if na else None,
+                _unbroadcast(g, sb) if nb else None)
 
     return _apply("add", a.data + b.data, (a, b), bwd)
 
@@ -253,24 +282,27 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_dtypes("sub", a, b)
     na, nb = a.requires_grad, b.requires_grad
+    sa, sb = a.shape, b.shape
 
     def bwd(g):
-        return (_unbroadcast(g, a.shape) if na else None,
-                _unbroadcast(-g, b.shape) if nb else None)
+        return (_unbroadcast(g, sa) if na else None,
+                _unbroadcast(-g, sb) if nb else None)
 
     return _apply("sub", a.data - b.data, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_dtypes("mul", a, b)
-    da, db = a.data, b.data
     na, nb = a.requires_grad, b.requires_grad
+    sa, sb = a.shape, b.shape
+    # each operand is kept only for the other's gradient
+    da, db = (a.data if nb else None), (b.data if na else None)
 
     def bwd(g):
-        return (_unbroadcast(g * db, a.shape) if na else None,
-                _unbroadcast(g * da, b.shape) if nb else None)
+        return (_unbroadcast(g * db, sa) if na else None,
+                _unbroadcast(g * da, sb) if nb else None)
 
-    return _apply("mul", da * db, (a, b), bwd)
+    return _apply("mul", a.data * b.data, (a, b), bwd)
 
 
 def neg(a: Tensor) -> Tensor:
@@ -376,12 +408,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if da.ndim != db.ndim or da.shape[:-2] != db.shape[:-2]:
         raise ShapeError(f"matmul: batch dimensions differ: {a.shape} x {b.shape}")
     na, nb = a.requires_grad, b.requires_grad
+    out = da @ db
+    da, db = (da if nb else None), (db if na else None)  # as in mul
 
     def bwd(g):
         return (g @ db.swapaxes(-1, -2) if na else None,
                 da.swapaxes(-1, -2) @ g if nb else None)
 
-    return _apply("matmul", da @ db, (a, b), bwd)
+    return _apply("matmul", out, (a, b), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +655,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     step = max(1, _IM2COL_BYTES // (pos * wmat.shape[1] * x.data.itemsize))
     chunks = range(0, n, step)
     nx, nw = x.requires_grad, w.requires_grad
+    has_bias = bias is not None
     keep = nw and _current_tape() is not None  # only the weight gradient reads the columns
     kept = []
     out = np.empty((n, o, pos), dtype=x.data.dtype)
@@ -641,14 +676,14 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
             gw = np.zeros_like(wmat)
             for b0, cols in zip(chunks, kept):
                 gw += (g3[b0:b0 + step] @ cols.swapaxes(1, 2)).sum(axis=0)
-            gw = gw.reshape(w.shape)
+            gw = gw.reshape(o, c, kh, kw)
         if nx:
-            gx = np.empty(x.shape, dtype=g.dtype)
+            gx = np.empty((n, c, h, wd), dtype=g.dtype)
             for b0 in chunks:
                 gcols = (wmat.T @ g3[b0:b0 + step]).reshape(-1, c, kh, kw, oh, ow)
                 gx[b0:b0 + step] = _col2im(lambda i, j: gcols[:, :, i, j], gcols.shape[:2] + (h, wd),
                                            kh, kw, stride, pad, g.dtype)
-        if bias is None:
+        if not has_bias:
             return gx, gw
         return gx, gw, g3.sum(axis=(0, 2))
 
@@ -680,16 +715,18 @@ def _conv2d_dense(tensors: tuple[Tensor, ...], stride: int, pad: int, oh: int,
     if bias:
         out += bias[0].data[:, None, None]
     nx, nw = x.requires_grad, w.requires_grad
+    has_bias = bool(bias)
+    xf = xf if nw else None  # only the weight gradient reads the input
 
     def bwd(g):
         g2 = g.reshape(n, -1)
-        gx = (g2 @ mat.T).reshape(x.shape) if nx else None
+        gx = (g2 @ mat.T).reshape(n, c, h, wd) if nx else None
         gw = None
         if nw:
             gmp = np.zeros(full, dtype=g.dtype)
             gmp[:, pad:pad + h, pad:pad + wd] = (xf.T @ g2).reshape(c, h, wd, o, oh, ow)
             gw = _kernel_diagonal(gmp, kh, kw, stride).sum(axis=(1, 2)).transpose(1, 0, 2, 3)
-        if not bias:
+        if not has_bias:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3))
 
@@ -709,6 +746,7 @@ def maxpool2d(x: Tensor, k: int, stride: int | None = None, pad: int = 0) -> Ten
     out = cells[0].copy()
     for cell in cells[1:]:
         np.maximum(out, cell, out=out)
+    xshape = x.shape
 
     def bwd(g):
         # _col2im visits the cells in row-major order; each window's gradient
@@ -721,7 +759,7 @@ def maxpool2d(x: Tensor, k: int, stride: int | None = None, pad: int = 0) -> Ten
             np.logical_xor(open_, hit, out=open_)  # hit lies in open_: close its windows
             return g * hit
 
-        return (_col2im(part, x.shape, k, k, stride, pad, g.dtype),)
+        return (_col2im(part, xshape, k, k, stride, pad, g.dtype),)
 
     return _apply("maxpool2d", out, (x,), bwd)
 

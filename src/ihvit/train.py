@@ -482,8 +482,9 @@ def _forward_backward(arm: Arm, x: Tensor, y: np.ndarray, weights: list[float]) 
 
     Each branch records onto a tape of its own, so the branches' forward and
     backward passes can run concurrently.  The combined loss gets a small
-    tape too, whose backward pass seeds each branch loss's .grad.  The tapes
-    hold every activation, so they go when this returns.
+    tape too, whose backward pass seeds each branch loss's .grad: the branch
+    losses are leaves of that tape.  Each tape holds only the arrays its
+    backward pass reads, and frees them as its sweep passes their nodes.
     """
     tapes = [Tape() for _ in weights]
     logits = arm.branch_logits(x, tapes)
@@ -502,6 +503,10 @@ def train(arm: Arm, manifest: Manifest, base_dir, cfg: TrainConfig,
           log=None) -> MetricsReport:
     """Epoch loop: shuffle, batch forward on the active branches, combined
     loss, backward, Adam step under cosine decay; per-epoch test evaluation."""
+    classes = (arm.resnet or arm.vit).config.classes
+    top = max((e.label for e in manifest.entries if e.split in ("train", "test")), default=-1)
+    if top >= classes:
+        raise InputError(f"manifest label {top} is out of range for the arm's {classes} classes")
     train_x, train_y = load_split(manifest, base_dir, "train")
     test_x, test_y = load_split(manifest, base_dir, "test")
 

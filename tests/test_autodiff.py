@@ -13,13 +13,18 @@ wrong rather than the code being wrong:
 """
 
 import functools
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ihvit import tensor as T
+from ihvit.resnet import ResNetConfig
 from ihvit.tensor import Tape, Tensor, UsageError, grad_check
-from ihvit.train import combined_loss
+from ihvit.train import _forward_backward, build_arm, combined_loss
+from ihvit.vit import ViTConfig
 
 
 class TestTape:
@@ -119,11 +124,104 @@ class TestTape:
             y = T.mul(x, x)
             z = T.add(y, x)
             T.sum_(z)
-        produced = []
+        # every input is the leaf x, which the node holds, or is named by
+        # the key of an earlier node's output
+        produced = set()
         for node in tape._nodes:
-            for inp in node.inputs:
-                assert inp is x or id(inp) in produced
-            produced.append(id(node.out))
+            for key, leaf in node.inputs:
+                assert key in produced if leaf is None else (leaf is x and key == x._key)
+            produced.add(node.out)
+
+
+class TestTapeMemory:
+    """A tape keeps what its backward pass reads, and the pass frees each
+    node as it goes: a chain of ops holds its output, not every step."""
+
+    N = 1 << 20  # a 4 MB f32 leaf
+
+    def _chain(self, op):
+        """20 ``op`` steps and a sum on a fresh 4 MB leaf, under tracemalloc:
+        the leaf, the chain's output and loss, the tape, and the traced
+        bytes held after the forward, at the backward's peak and after it."""
+        x = Tensor(np.ones(self.N, dtype=np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                y = x
+                for _ in range(20):
+                    y = op(y)
+                loss = T.sum_(y)
+            held = tracemalloc.get_traced_memory()[0] - base
+            assert len(tape) == 21
+            tracemalloc.reset_peak()
+            tape.backward(loss)
+            left, peak = (m - base for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 21
+        return x, y, loss, held, peak, left
+
+    def test_chain_holds_one_array_and_frees_as_it_sweeps(self):
+        x, y, loss, held, peak, _ = self._chain(lambda t: T.scale(t, 0.5))
+        size = x.data.nbytes
+        assert held <= 2 * size   # the chain's output; every step at 20 arrays
+        assert peak < 4 * size    # the output, the gradient in flight and the next one
+        assert np.array_equal(x.grad, np.full(self.N, 0.5 ** 20, dtype=np.float32))
+        assert y.grad is None and loss.grad is None
+
+    def test_sweep_frees_saved_arrays_while_the_tape_lives(self):
+        # each relu keeps its input for the backward pass; the sweep drops it
+        x, _, _, held, _, left = self._chain(T.relu)
+        size = x.data.nbytes
+        assert held >= 19 * size  # the 19 intermediate inputs and the output
+        assert left <= 3 * size   # the output and x.grad
+        assert np.array_equal(x.grad, np.ones(self.N, dtype=np.float32))
+
+    def test_keys_stay_unique_across_threads(self):
+        # the branch threads create tensors at once; a repeated key would
+        # merge two tensors' gradients on a tape
+        keys = [[] for _ in range(8)]
+
+        def make(out):
+            for _ in range(5000):
+                out.append(Tensor._wrap(np.zeros(1, dtype=np.float32), False)._key)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=make, args=(k,)) for k in keys]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        flat = [k for ks in keys for k in ks]
+        assert len(flat) == 8 * 5000 and len(set(flat)) == len(flat)
+
+    def test_no_backward_closure_holds_a_tensor(self, monkeypatch):
+        # a closure that captured a Tensor would keep its array, and the
+        # arrays its own node keeps, alive until the tape dies
+        seen, holders = [], []
+        record = Tape._record
+
+        def checked(tape, op, inputs, out, backward):
+            cells = [c.cell_contents for c in backward.__closure__ or ()]
+            items = [i for v in cells for i in (v if isinstance(v, (tuple, list)) else (v,))]
+            seen.append(op)
+            if any(isinstance(i, Tensor) for i in items):
+                holders.append(op)
+            record(tape, op, inputs, out, backward)
+
+        monkeypatch.setattr(Tape, "_record", checked)
+        arm = build_arm("ih-vit", ViTConfig(classes=6), ResNetConfig.desk(classes=6), seed=0)
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.random((2, 3, 224, 224), dtype=np.float32))
+        _forward_backward(arm, x, np.array([0, 5]), arm.branch_weights())
+        assert len(seen) == 490 and {"conv2d", "matmul", "maxpool2d", "add"} <= set(seen)
+        assert holders == []
 
 
 class TestGradCheckHarness:

@@ -165,6 +165,18 @@ class TestAugmentSplit:
         assert main(["gen", "--out", str(tmp_path / "x"), "--seed", "-1"]) == 2
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd", [["augment"], ["split", "--seed", "1"]])
+    def test_negative_manifest_seed_exits_3(self, tmp_path, cmd, capsys):
+        # refused at load, before any image is read or written
+        out = run_gen(tmp_path, seed=3)
+        doc = json.loads((out / "manifest.json").read_text())
+        doc["seed"] = -1
+        (out / "manifest.json").write_text(json.dumps(doc))
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert main([cmd[0], "--manifest", str(out / "manifest.json")] + cmd[1:]) == 3
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+        assert "field 'seed' must be >= 0, got -1" in capsys.readouterr().err
+
     def test_split_then_resplit_guard(self, tmp_path):
         out = run_gen(tmp_path)
         assert main(["split", "--manifest", str(out / "manifest.json"),

@@ -335,6 +335,17 @@ class TestTrain:
         for label, n in test_counts.items():
             assert conf[label].sum() == n
 
+    def test_class_count_below_labels_refused_before_loading(self, tiny_dataset, monkeypatch):
+        import ihvit.train as train_mod
+        root, manifest = tiny_dataset
+        reads = []
+        monkeypatch.setattr(train_mod, "read_ppm", lambda path: reads.append(path))
+        arm = build_arm("ih-vit", replace(TINY_VIT, classes=3), replace(TINY_RESNET, classes=3),
+                        seed=3)
+        with pytest.raises(InputError, match="label 5 .* 3 classes"):
+            train(arm, manifest, root, TrainConfig(epochs=1, batch_size=8, seed=3))
+        assert reads == []
+
     def test_training_is_deterministic(self, tiny_dataset):
         root, manifest = tiny_dataset
         r1 = train(build_arm("vit-conv", TINY_VIT, TINY_RESNET, seed=4),
