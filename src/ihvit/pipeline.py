@@ -81,9 +81,12 @@ class ManifestEntry:
         if not isinstance(obj, dict):
             raise FormatError(f"manifest entry must be an object, got {obj!r:.60}")
         where = f"manifest entry {obj.get('path')!r:.60}"
+        label = _field(obj, "label", int, where)
+        if label < 0:
+            raise FormatError(f"{where}: field 'label' must be >= 0, got {label}")
         return cls(
             path=_field(obj, "path", str, where),
-            label=_field(obj, "label", int, where),
+            label=label,
             defect_free=_field(obj, "defect_free", bool, where),
             split=_field(obj, "split", str, where, "none"),
             origin=_field(obj, "origin", str, where, "original"),

@@ -423,8 +423,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    x = a.data
-    return _apply("relu", np.maximum(x, 0), (a,), lambda g: (g * (x > 0),))
+    """max(a, 0); a tape keeps the output, which is > 0 exactly where ``a`` is."""
+    out = np.maximum(a.data, 0)
+    return _apply("relu", out, (a,), lambda g: (g * (out > 0),))
 
 
 # Abramowitz & Stegun 7.1.26: erfc(z) ~ t*P(t)*exp(-z^2), t = 1/(1 + p*z), for
@@ -581,8 +582,8 @@ def conv_out_extent(extent: int, k: int, stride: int, pad: int) -> int:
 
 
 # im2col matrices are built for at most this many bytes of images at a
-# time (always at least one image), so a forward pass holds one chunk at
-# once unless a tape keeps the chunks for the weight gradient
+# time (always at least one image), and each chunk is dropped after its
+# GEMM: the forward and the weight gradient each hold one chunk at once
 _IM2COL_BYTES = 4 << 20
 
 
@@ -634,7 +635,13 @@ def _col2im(part: Callable[[int, int], np.ndarray], shape: tuple[int, ...],
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
            stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D cross-correlation with zero padding, NCHW layout."""
+    """2-D cross-correlation with zero padding, NCHW layout.
+
+    On a tape it keeps the unpadded input for the weight gradient, which
+    rebuilds the im2col columns chunk by chunk.  This, like the dense path
+    and :func:`matmul`, rests on one invariant: no code writes an op's
+    input array after the forward.
+    """
     tensors = (x, w) if bias is None else (x, w, bias)
     _check_dtypes("conv2d", *tensors)
     if x.ndim != 4 or w.ndim != 4:
@@ -650,32 +657,34 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     if (h * wd <= _DENSE_PLANE_RATIO * kh * kw
             and c * h * wd * o * pos * x.data.itemsize <= _IM2COL_BYTES):
         return _conv2d_dense(tensors, stride, pad, oh, ow)
-    win = _windows("conv2d", x.data, kh, kw, stride, pad)
     wmat = w.data.reshape(o, -1)
     step = max(1, _IM2COL_BYTES // (pos * wmat.shape[1] * x.data.itemsize))
     chunks = range(0, n, step)
-    nx, nw = x.requires_grad, w.requires_grad
-    has_bias = bias is not None
-    keep = nw and _current_tape() is not None  # only the weight gradient reads the columns
-    kept = []
-    out = np.empty((n, o, pos), dtype=x.data.dtype)
-    for b0 in chunks:
+
+    def cols(win, b0):
         # [n, C*KH*KW, OH*OW] in the input's own layout: for a 1x1 stride-1
         # conv of a contiguous input this reshape is a view, not a copy
-        cols = win[b0:b0 + step].transpose(0, 1, 4, 5, 2, 3).reshape(-1, wmat.shape[1], pos)
-        np.matmul(wmat, cols, out=out[b0:b0 + step])
-        if keep:
-            kept.append(cols)
+        return win[b0:b0 + step].transpose(0, 1, 4, 5, 2, 3).reshape(-1, wmat.shape[1], pos)
+
+    win = _windows("conv2d", x.data, kh, kw, stride, pad)
+    out = np.empty((n, o, pos), dtype=x.data.dtype)
+    for b0 in chunks:
+        np.matmul(wmat, cols(win, b0), out=out[b0:b0 + step])
     if bias is not None:
         out += bias.data[:, None]
+    nx, nw = x.requires_grad, w.requires_grad
+    has_bias = bias is not None
+    xd = x.data if nw else None  # only the weight gradient reads the input
 
     def bwd(g):
         g3 = g.reshape(n, o, pos)
         gw = gx = None
         if nw:
+            # the forward's chunks in the forward's order
+            xwin = _windows("conv2d", xd, kh, kw, stride, pad)
             gw = np.zeros_like(wmat)
-            for b0, cols in zip(chunks, kept):
-                gw += (g3[b0:b0 + step] @ cols.swapaxes(1, 2)).sum(axis=0)
+            for b0 in chunks:
+                gw += (g3[b0:b0 + step] @ cols(xwin, b0).swapaxes(1, 2)).sum(axis=0)
             gw = gw.reshape(o, c, kh, kw)
         if nx:
             gx = np.empty((n, c, h, wd), dtype=g.dtype)
@@ -734,7 +743,11 @@ def _conv2d_dense(tensors: tuple[Tensor, ...], stride: int, pad: int, oh: int,
 
 
 def maxpool2d(x: Tensor, k: int, stride: int | None = None, pad: int = 0) -> Tensor:
-    """Max pooling; padding uses a -inf sentinel so padded cells never win."""
+    """Max pooling; padding uses a -inf sentinel so padded cells never win.
+
+    On a tape it keeps the unpadded input and the output; the backward
+    rebuilds the padded windows.
+    """
     if stride is None:
         stride = k
     if x.ndim != 4:
@@ -746,11 +759,12 @@ def maxpool2d(x: Tensor, k: int, stride: int | None = None, pad: int = 0) -> Ten
     out = cells[0].copy()
     for cell in cells[1:]:
         np.maximum(out, cell, out=out)
-    xshape = x.shape
+    xd = x.data
 
     def bwd(g):
         # _col2im visits the cells in row-major order; each window's gradient
         # goes to the first cell equal to its max, as argmax would pick it
+        win = _windows("maxpool2d", xd, k, k, stride, pad, fill=-np.inf)
         open_ = np.ones(out.shape, dtype=bool)
 
         def part(i, j):
@@ -759,7 +773,7 @@ def maxpool2d(x: Tensor, k: int, stride: int | None = None, pad: int = 0) -> Ten
             np.logical_xor(open_, hit, out=open_)  # hit lies in open_: close its windows
             return g * hit
 
-        return (_col2im(part, xshape, k, k, stride, pad, g.dtype),)
+        return (_col2im(part, xd.shape, k, k, stride, pad, g.dtype),)
 
     return _apply("maxpool2d", out, (x,), bwd)
 

@@ -16,6 +16,7 @@ import functools
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from ihvit import tensor as T
 from ihvit.resnet import ResNetConfig
 from ihvit.tensor import Tape, Tensor, UsageError, grad_check
 from ihvit.train import _forward_backward, build_arm, combined_loss
+from ihvit.verify import conv_oracle
 from ihvit.vit import ViTConfig
 
 
@@ -171,12 +173,73 @@ class TestTapeMemory:
         assert y.grad is None and loss.grad is None
 
     def test_sweep_frees_saved_arrays_while_the_tape_lives(self):
-        # each relu keeps its input for the backward pass; the sweep drops it
+        # each relu keeps its output for the backward pass; the sweep drops it
         x, _, _, held, _, left = self._chain(T.relu)
         size = x.data.nbytes
-        assert held >= 19 * size  # the 19 intermediate inputs and the output
+        assert held >= 19 * size  # the 20 outputs, the last one y
         assert left <= 3 * size   # the output and x.grad
         assert np.array_equal(x.grad, np.ones(self.N, dtype=np.float32))
+
+    def test_conv_keeps_its_input_not_its_columns(self, monkeypatch):
+        # the stem's 7x7 stride-2 conv: its im2col columns are 12x the input;
+        # the weight gradient rebuilds them chunk by chunk from the input
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.random((2, 3, 64, 64), dtype=np.float32))
+        c = Tensor(rng.uniform(0.5, 1.0, (2, 4, 32, 32)).astype(np.float32))
+        grads = []
+        for budget in (T._IM2COL_BYTES, 1):
+            monkeypatch.setattr(T, "_IM2COL_BYTES", budget)
+            w = Tensor(rng.uniform(-0.1, 0.1, (4, 3, 7, 7)).astype(np.float32),
+                       requires_grad=True)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                with Tape() as tape:
+                    y = T.conv2d(x, w, stride=2, pad=3)
+                    held = tracemalloc.get_traced_memory()[0] - base
+                    loss = T.sum_(T.mul(y, c))
+            finally:
+                tracemalloc.stop()
+            assert held <= y.data.nbytes + x.data.nbytes  # the columns: 1.2 MB
+            tape.backward(loss)
+            grads.append(w.grad)
+        assert grads[0].tobytes() == grads[1].tobytes()
+        # the loss is linear in w, so <w.grad, d> is the loss at weight d
+        d = rng.uniform(-1, 1, (2, 4, 3, 7, 7))
+        want = (conv_oracle(x.data, d.reshape(8, 3, 7, 7), None, 2, 3).reshape(2, 2, 4, 32, 32)
+                * c.data[:, None]).sum(axis=(0, 2, 3, 4))
+        got = (d * grads[0]).sum(axis=(1, 2, 3, 4))
+        assert np.abs(got - want).max() <= 1e-3 * np.abs(want).max()
+
+    def test_relu_frees_its_input(self):
+        x = Tensor(np.linspace(-1, 1, self.N, dtype=np.float32), requires_grad=True)
+        with Tape() as tape:
+            h = T.scale(x, 2.0)
+            ref = weakref.ref(h.data)
+            loss = T.sum_(T.relu(h))
+        del h
+        assert ref() is None
+        tape.backward(loss)
+        assert np.array_equal(x.grad, np.where(x.data > 0, 2, 0).astype(np.float32))
+
+    def test_maxpool_keeps_no_padded_copy(self):
+        # the stem's 3x3 stride-2 pad-1 pool: a padded copy is 1.06x the input
+        x = Tensor(np.random.default_rng(4).permutation(2 * 4 * 64 * 64)
+                   .reshape(2, 4, 64, 64).astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                y = T.maxpool2d(x, 3, 2, 1)
+                held = tracemalloc.get_traced_memory()[0] - base
+                loss = T.sum_(y)
+        finally:
+            tracemalloc.stop()
+        assert held <= y.data.nbytes + x.data.nbytes // 2
+        tape.backward(loss)
+        # distinct values: each window's gradient goes to its one max
+        assert x.grad.sum() == y.data.size
+        assert np.array_equal(x.grad > 0, np.isin(x.data, y.data))
 
     def test_keys_stay_unique_across_threads(self):
         # the branch threads create tensors at once; a repeated key would

@@ -177,6 +177,28 @@ class TestAugmentSplit:
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
         assert "field 'seed' must be >= 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd", [["train", "--arm", "ih-vit"] + TINY_MODEL, ["augment"],
+                                     ["split", "--seed", "1", "--force"]])
+    def test_negative_manifest_label_exits_3(self, tmp_path, cmd, capsys, monkeypatch):
+        # refused at load, before any image is read
+        import ihvit.pipeline as pipeline_mod
+        import ihvit.train as train_mod
+        out = run_gen(tmp_path, seed=3)
+        assert main(["split", "--manifest", str(out / "manifest.json"), "--seed", "1"]) == 0
+        doc = json.loads((out / "manifest.json").read_text())
+        entry = next(e for e in doc["entries"] if e["split"] == "train")
+        entry["label"] = -1
+        (out / "manifest.json").write_text(json.dumps(doc))
+        reads = []
+        for mod in (pipeline_mod, train_mod):
+            monkeypatch.setattr(mod, "read_ppm", lambda path: reads.append(path))
+        argv = [cmd[0], "--manifest", str(out / "manifest.json")] + cmd[1:]
+        if cmd[0] == "train":
+            argv += ["--out", str(tmp_path / "run")]
+        assert main(argv) == 3
+        assert reads == []
+        assert f"{entry['path']!r}: field 'label' must be >= 0, got -1" in capsys.readouterr().err
+
     def test_split_then_resplit_guard(self, tmp_path):
         out = run_gen(tmp_path)
         assert main(["split", "--manifest", str(out / "manifest.json"),
