@@ -1,8 +1,9 @@
-"""Image containers, PPM I/O, manifests, augmentation, and splitting.
+"""PPM I/O, manifests, augmentation, and splitting.
 
-All randomness is derived from ``(seed, family, variant)`` tuples so the
-pipeline is a pure function of its inputs; augmented files are
-materialized to disk so dataset accounting stays exact.
+An image is a uint8 ``(H, W, 3)`` array; its label lives in its
+``ManifestEntry``.  All randomness is derived from ``(seed, family,
+variant)`` tuples so the pipeline is a pure function of its inputs;
+augmented files are materialized to disk so dataset accounting stays exact.
 """
 
 from __future__ import annotations
@@ -33,30 +34,6 @@ _FAMILY_IDS = {"flip": 1, "rotate": 2, "scale": 3, "crop": 4, "translate": 5}
 VARIANTS = [(family, i) for family, n in (
     ("flip", len(FLIPS)), ("rotate", len(ROTATIONS)), ("scale", len(SCALE_FACTORS)),
     ("crop", CROP_COUNT), ("translate", len(TRANSLATE_DIRECTIONS))) for i in range(n)]
-
-
-@dataclass
-class LabeledImage:
-    """RGB pixel grid with class label and provenance."""
-
-    width: int
-    height: int
-    pixels: np.ndarray  # uint8, shape (height, width, 3)
-    label: int
-    defect_free: bool
-    source_tag: str = ""
-
-    def __post_init__(self):
-        self.pixels = np.ascontiguousarray(self.pixels, dtype=np.uint8)
-        if self.pixels.shape != (self.height, self.width, 3):
-            raise InputError(
-                f"pixel buffer shape {self.pixels.shape} does not match "
-                f"{self.height}x{self.width} RGB"
-            )
-        if (self.label == 0) != self.defect_free:
-            raise InputError(
-                f"label {self.label} inconsistent with defect_free={self.defect_free}"
-            )
 
 
 @dataclass
@@ -122,6 +99,9 @@ class Manifest:
         for e in self.entries:
             if e.split not in ("none", "train", "test"):
                 raise InputError(f"bad split tag {e.split!r} for {e.path}")
+            if (e.label == 0) != e.defect_free:
+                raise InputError(
+                    f"{e.path}: label {e.label} inconsistent with defect_free={e.defect_free}")
 
     def class_counts(self) -> dict[int, int]:
         counts: dict[int, int] = {}
@@ -166,8 +146,8 @@ class Manifest:
 # PPM (P6) I/O
 
 
-def write_ppm(img: LabeledImage | np.ndarray, path) -> None:
-    pixels = img.pixels if isinstance(img, LabeledImage) else np.asarray(img, dtype=np.uint8)
+def write_ppm(pixels: np.ndarray, path) -> None:
+    pixels = np.asarray(pixels, dtype=np.uint8)
     h, w, c = pixels.shape
     if c != 3:
         raise InputError(f"write_ppm: expected RGB pixels, got {pixels.shape}")
@@ -182,7 +162,7 @@ def read_ppm(path) -> np.ndarray:
     if data[:2] != b"P6":
         raise FormatError(f"{path}: not a binary PPM (magic {data[:2]!r})", offset=0)
     pos = 2
-    fields = []
+    fields, starts = [], []
     while len(fields) < 3:
         while pos < len(data) and data[pos:pos + 1].isspace():
             pos += 1
@@ -199,7 +179,11 @@ def read_ppm(path) -> np.ndarray:
         if not token.isdigit():
             raise FormatError(f"{path}: bad header token {token!r}", offset=start)
         fields.append(int(token))
+        starts.append(start)
     w, h, maxval = fields
+    if w == 0 or h == 0:
+        raise FormatError(f"{path}: zero image dimension {w}x{h}",
+                          offset=starts[0 if w == 0 else 1])
     if maxval != 255:
         raise FormatError(f"{path}: unsupported maxval {maxval}", offset=pos)
     pos += 1  # single whitespace byte after maxval
@@ -211,15 +195,6 @@ def read_ppm(path) -> np.ndarray:
             offset=pos + len(payload),
         )
     return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3).copy()
-
-
-def read_labeled(path, entry: ManifestEntry) -> LabeledImage:
-    pixels = read_ppm(path)
-    h, w, _ = pixels.shape
-    return LabeledImage(
-        width=w, height=h, pixels=pixels,
-        label=entry.label, defect_free=entry.defect_free, source_tag=entry.origin,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +264,8 @@ def _center_crop(pixels: np.ndarray, w: int, h: int) -> np.ndarray:
     return pixels[y0:y0 + h, x0:x0 + w]
 
 
-def _apply_variant(img: LabeledImage, family: str, index: int, seed: int) -> np.ndarray:
-    px = img.pixels
-    w, h = img.width, img.height
+def _apply_variant(px: np.ndarray, family: str, index: int, seed: int) -> np.ndarray:
+    h, w = px.shape[:2]
     if family == "flip":
         return px[:, ::-1] if FLIPS[index] == "horizontal" else px[::-1, :]
     if family == "rotate":
@@ -336,7 +310,7 @@ def _apply_variant(img: LabeledImage, family: str, index: int, seed: int) -> np.
     raise ConfigError(f"unknown augmentation family {family!r}")
 
 
-def augment_all(img: LabeledImage, seed: int = 0) -> list[LabeledImage]:
+def augment_all(pixels: np.ndarray, seed: int = 0) -> list[np.ndarray]:
     """Emit the 14 ``VARIANTS`` at the source image's size, in that order.
 
     The variants are computed through ``util.run_all``, so with
@@ -345,10 +319,8 @@ def augment_all(img: LabeledImage, seed: int = 0) -> list[LabeledImage]:
     the same bytes however it is called, so the pixels do not depend on the
     thread count.
     """
-    pixels = run_all([partial(_apply_variant, img, family, index, seed)
-                      for family, index in VARIANTS])
-    return [replace(img, pixels=px, source_tag=f"augmented:{family}:{index}")
-            for px, (family, index) in zip(pixels, VARIANTS)]
+    return run_all([partial(_apply_variant, pixels, family, index, seed)
+                    for family, index in VARIANTS])
 
 
 def augment_manifest(manifest: Manifest, base_dir,
@@ -373,8 +345,8 @@ def augment_manifest(manifest: Manifest, base_dir,
     added = [t for ts in targets for t in ts]
     out = Manifest(seed=manifest.seed, entries=manifest.entries + added)
     for i, (entry, ts) in enumerate(zip(sources, targets)):
-        img = read_labeled(base / entry.path, entry)
-        for var, t in zip(augment_all(img, seed=_entry_seed(manifest.seed, i)), ts):
+        pixels = read_ppm(base / entry.path)
+        for var, t in zip(augment_all(pixels, seed=_entry_seed(manifest.seed, i)), ts):
             write_ppm(var, base / t.path)
     return out, len(added)
 

@@ -19,15 +19,15 @@ counterpart share base geometry, colors, and noise exactly:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
-from .pipeline import LabeledImage, Manifest, ManifestEntry, write_ppm
-from .util import bounded, check_fields, worker_count
+from .pipeline import Manifest, ManifestEntry, write_ppm
+from .util import bounded, check_fields, run_all
 
 DEFECT_KINDS = ("scratch", "missing_char", "pin_defect", "uneven_char", "glue_blob")
 DEFAULT_CLASSES = ("normal",) + DEFECT_KINDS
@@ -311,8 +311,8 @@ def _apply_defect(img: np.ndarray, geo: ChipGeometry, kind: str, style: int,
         raise ConfigError(f"unknown defect kind {kind!r}")
 
 
-def gen_sample(cfg: SynthConfig, class_name: str, size: tuple[int, int], seed: int) -> LabeledImage:
-    """Render one image; a pure function of (cfg geometry knobs, class, size, seed)."""
+def gen_sample(cfg: SynthConfig, class_name: str, size: tuple[int, int], seed: int) -> np.ndarray:
+    """Render one uint8 (H, W, 3) image; a pure function of (cfg, class, size, seed)."""
     label = cfg.label_of(class_name)
     geo = chip_geometry(size, seed, cfg.density)
     img = _render_base(geo, size)
@@ -323,12 +323,7 @@ def gen_sample(cfg: SynthConfig, class_name: str, size: tuple[int, int], seed: i
     if cfg.noise_sigma > 0:
         noise = rng_noise.normal(0.0, cfg.noise_sigma, size=img.shape)
         img = img + np.rint(noise).astype(np.int16)
-    pixels = np.clip(img, 0, 255).astype(np.uint8)
-    w, h = size
-    return LabeledImage(
-        width=w, height=h, pixels=pixels, label=label,
-        defect_free=(label == 0), source_tag=f"synth:{class_name}:{seed}",
-    )
+    return np.clip(img, 0, 255).astype(np.uint8)
 
 
 def _item_seed(master: int, index: int) -> int:
@@ -366,14 +361,7 @@ def gen_dataset(cfg: SynthConfig, out_dir) -> Manifest:
         class_name, rel, size, seed = item
         write_ppm(gen_sample(cfg, class_name, size, seed), out / rel)
 
-    workers = worker_count()
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(emit, items))
-    else:
-        for item in items:
-            emit(item)
-
+    run_all([partial(emit, item) for item in items])
     entries = [
         ManifestEntry(path=rel, label=cfg.label_of(cls), defect_free=(cfg.label_of(cls) == 0))
         for cls, rel, _, _ in items

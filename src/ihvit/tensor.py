@@ -314,11 +314,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _apply("scale", a.data * c, (a,), lambda g: (g * c,))
 
 
-def abs_(a: Tensor) -> Tensor:
-    sign = np.sign(a.data)
-    return _apply("abs", np.abs(a.data), (a,), lambda g: (g * sign,))
-
-
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     old = a.shape

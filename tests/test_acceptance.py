@@ -6,7 +6,6 @@ reference tables are reported, never asserted.  The desk-scale learning
 criterion (6) trains the full fused model and dominates the runtime.
 """
 
-import math
 import time
 
 import numpy as np
@@ -15,7 +14,6 @@ import pytest
 from ihvit import tensor as T
 from ihvit.errors import FormatError
 from ihvit.pipeline import (
-    LabeledImage,
     Manifest,
     ManifestEntry,
     augment_all,
@@ -162,6 +160,7 @@ def test_criterion_4_oracle_equivalence():
         worst = max(worst, np.abs(
             T.layernorm(Tensor(ln_x), Tensor(g), Tensor(beta)).data - want).max())
 
+    from ihvit.verify import attention_oracle
     from ihvit.vit import multi_head_attention
     for seed in range(5):
         r2 = np.random.default_rng(200 + seed)
@@ -172,30 +171,14 @@ def test_criterion_4_oracle_equivalence():
             params[f"a.b{nm}"] = Tensor(r2.normal(size=(d,)).astype(np.float32))
         x = r2.normal(size=(1, n, d)).astype(np.float32)
         got, _ = multi_head_attention(Tensor(x), params, "a", heads)
-        hd = d // heads
-        q = x[0] @ params["a.wq"].data + params["a.bq"].data
-        k = x[0] @ params["a.wk"].data + params["a.bk"].data
-        v = x[0] @ params["a.wv"].data + params["a.bv"].data
-        want = np.zeros((n, d))
-        for h in range(heads):
-            sl = slice(h * hd, (h + 1) * hd)
-            for i in range(n):
-                scores = np.array([q[i, sl] @ k[j, sl] / math.sqrt(hd) for j in range(n)])
-                wts = np.exp(scores - scores.max())
-                wts /= wts.sum()
-                for j in range(n):
-                    want[i, sl] += wts[j] * v[j, sl]
-        want = want @ params["a.wo"].data + params["a.bo"].data
+        want = attention_oracle(x[0], params, "a", heads)
         worst = max(worst, float(np.abs(got.data[0] - want).max()))
     verdict(4, "oracle equivalence", worst <= 1e-5, f"max abs err {worst:.2e} (<=1e-5)")
 
 
 def test_criterion_5_pipeline_counts():
     rng = np.random.default_rng(0)
-    img = LabeledImage(width=40, height=30,
-                       pixels=rng.integers(0, 256, (30, 40, 3), dtype=np.uint8),
-                       label=1, defect_free=False)
-    variants = augment_all(img, seed=1)
+    variants = augment_all(rng.integers(0, 256, (30, 40, 3), dtype=np.uint8), seed=1)
     ok = len(variants) == 14
 
     # a 542-entry defect manifest expands by exactly 14 per original: 7588 rows

@@ -446,8 +446,8 @@ def mk_combined_loss(r, dt):
 
 
 def mk_structural(r, dt):
-    # reshape / transpose / concat / slice / broadcast / mean / abs / sub in one
-    # graph; the abs argument stays negative so no kink is crossed
+    # reshape / transpose / concat / slice / broadcast / mean / neg / sub in one
+    # graph; the neg argument stays negative, so the loss is the mean of |u|
     c = Tensor(r.uniform(0.5, 1.0, (4, 3)), dtype=dt)
     x = Tensor(r.uniform(0.5, 1.5, (2, 3)), dtype=dt)
 
@@ -455,7 +455,7 @@ def mk_structural(r, dt):
         t = T.transpose(z, (1, 0))            # [3, 2]
         t = T.reshape(t, (2, 3))
         both = T.concat([t, T.broadcast_to(z[0:1, :], (2, 3))], axis=0)  # [4, 3]
-        return T.mean(T.abs_(T.sub(T.mul(both, c), T.scale(c, 3.0))))
+        return T.mean(T.neg(T.sub(T.mul(both, c), T.scale(c, 3.0))))
 
     return f, x
 

@@ -199,6 +199,47 @@ class TestAugmentSplit:
         assert reads == []
         assert f"{entry['path']!r}: field 'label' must be >= 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd", [["train", "--arm", "ih-vit"] + TINY_MODEL, ["augment"]])
+    def test_zero_dimension_image_exits_3(self, tmp_path, cmd, capsys):
+        out = run_gen(tmp_path, seed=3)
+        assert main(["split", "--manifest", str(out / "manifest.json"), "--seed", "1"]) == 0
+        victim = next(e for e in Manifest.load(out / "manifest.json").entries if not e.defect_free)
+        (out / victim.path).write_bytes(b"P6\n0 5\n255\n")
+        argv = [cmd[0], "--manifest", str(out / "manifest.json")] + cmd[1:]
+        if cmd[0] == "train":
+            argv += ["--out", str(tmp_path / "run")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert victim.path in err and "zero image dimension 0x5 (at byte offset 3)" in err
+
+    @pytest.mark.parametrize("cmd", [["train", "--arm", "ih-vit"] + TINY_MODEL, ["augment"],
+                                     ["split", "--seed", "1", "--force"]])
+    def test_label_disagreeing_with_defect_free_exits_2(self, tmp_path, cmd, capsys,
+                                                         monkeypatch):
+        # refused at load, before any image is read or written
+        import ihvit.pipeline as pipeline_mod
+        import ihvit.train as train_mod
+        entries = []
+        for i, (name, label, split) in enumerate([("n0", 0, "train"), ("n1", 0, "test"),
+                                                  ("d0", 1, "train"), ("d1", 1, "test"),
+                                                  ("d2", 0, "train")]):
+            write_ppm(np.full((24, 24, 3), i, dtype=np.uint8), tmp_path / f"{name}.ppm")
+            entries.append({"path": f"{name}.ppm", "label": label,
+                            "defect_free": name.startswith("n"), "split": split})
+        doc = {"version": 1, "seed": 1, "entries": entries}
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        reads = []
+        for mod in (pipeline_mod, train_mod):
+            monkeypatch.setattr(mod, "read_ppm", lambda path: reads.append(path))
+        argv = [cmd[0], "--manifest", str(tmp_path / "m.json")] + cmd[1:]
+        if cmd[0] == "train":
+            argv += ["--out", str(tmp_path / "run")]
+        assert main(argv) == 2
+        assert reads == []
+        assert not list(tmp_path.glob("*_aug_*"))
+        assert json.loads((tmp_path / "m.json").read_text()) == doc
+        assert "d2.ppm: label 0 inconsistent with defect_free=False" in capsys.readouterr().err
+
     def test_split_then_resplit_guard(self, tmp_path):
         out = run_gen(tmp_path)
         assert main(["split", "--manifest", str(out / "manifest.json"),

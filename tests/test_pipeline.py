@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from ihvit import pipeline
 from ihvit.errors import ConfigError, FormatError, InputError
 from ihvit.pipeline import (
-    LabeledImage,
     Manifest,
     ManifestEntry,
     augment_all,
@@ -23,11 +22,8 @@ from ihvit.pipeline import (
 from ihvit.train import _batch_tensor
 
 
-def make_image(w=64, h=48, label=1, seed=0):
-    rng = np.random.default_rng(seed)
-    return LabeledImage(width=w, height=h,
-                        pixels=rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8),
-                        label=label, defect_free=label == 0)
+def make_image(w=64, h=48, seed=0):
+    return np.random.default_rng(seed).integers(0, 256, size=(h, w, 3), dtype=np.uint8)
 
 
 def bilinear_oracle(pixels, tw, th):
@@ -67,30 +63,28 @@ class TestResize:
     ])
     def test_matches_per_pixel_oracle(self, src_hw, target_wh):
         h, w = src_hw
-        px = make_image(w, h, seed=h * w).pixels
+        px = make_image(w, h, seed=h * w)
         assert np.array_equal(_resize_array(px, *target_wh), bilinear_oracle(px, *target_wh))
 
     def test_quarter_turn_view_matches_oracle(self):
         # the rotate variant: a rot90 view, resized back to the source extents
-        px = make_image(45, 70, seed=4).pixels
+        px = make_image(45, 70, seed=4)
         turned = np.rot90(px)
         assert turned.shape[:2] == (45, 70)
         assert np.array_equal(_resize_array(turned, 45, 70), bilinear_oracle(turned, 45, 70))
 
     def test_strided_view_matches_oracle(self):
-        px = make_image(90, 140, seed=5).pixels[::2, ::-3]
+        px = make_image(90, 140, seed=5)[::2, ::-3]
         assert not px.flags.c_contiguous
         assert np.array_equal(_resize_array(px, 41, 66), bilinear_oracle(px, 41, 66))
 
     def test_512x480_to_224(self):
-        img = make_image(512, 480)
-        out = _resize_array(img.pixels, 224, 224)
+        out = _resize_array(make_image(512, 480), 224, 224)
         assert out.shape == (224, 224, 3) and out.dtype == np.uint8
 
     def test_identity_resize_is_byte_exact(self):
         img = make_image(224, 224)
-        out = _resize_array(img.pixels, 224, 224)
-        assert np.array_equal(out, img.pixels)
+        assert np.array_equal(_resize_array(img, 224, 224), img)
 
     def test_checkerboard_to_center_sample(self):
         # 2x2 board collapsing to 1x1 lands exactly between all four pixels,
@@ -102,21 +96,24 @@ class TestResize:
 
 
 class TestAugment:
-    def test_fourteen_variants_same_dims_and_label(self):
-        img = make_image(60, 44, label=2)
+    def test_fourteen_variants_same_dims_and_label(self, tmp_path):
+        # the pixels keep the source's size; the label rides on the manifest entry
+        img = make_image(60, 44)
         out = augment_all(img, seed=5)
         assert len(out) == 14
-        for v in out:
-            assert (v.width, v.height) == (60, 44)
-            assert v.label == 2
-            assert v.source_tag.startswith("augmented:")
+        assert all(v.shape == (44, 60, 3) and v.dtype == np.uint8 for v in out)
+        write_ppm(img, tmp_path / "d.ppm")
+        manifest = Manifest(seed=5, entries=[ManifestEntry("d.ppm", 2, False)])
+        added = augment_manifest(manifest, tmp_path)[0].entries[1:]
+        assert [e.origin for e in added] == [f"augmented:{f}:{i}" for f, i in pipeline.VARIANTS]
+        assert all(e.label == 2 and not e.defect_free for e in added)
 
     @pytest.mark.parametrize("w, h", [(200, 1), (1, 200), (1, 1), (3, 1)])
     def test_frames_under_two_pixels_a_side(self, w, h):
         # a crop window is 2 px a side at least, but never wider than the frame
         out = augment_all(make_image(w, h), seed=4)
         assert len(out) == 14
-        assert all(v.pixels.shape == (h, w, 3) for v in out)
+        assert all(v.shape == (h, w, 3) for v in out)
 
     def test_family_counts(self):
         variants = pipeline.VARIANTS
@@ -130,40 +127,37 @@ class TestAugment:
         img = make_image(32, 24)
         once = augment_all(img, seed=0)[0]
         twice = augment_all(once, seed=0)[0]
-        assert np.array_equal(twice.pixels, img.pixels)
+        assert np.array_equal(twice, img)
 
     def test_rotate_180_reverses_both_axes(self):
         img = make_image(16, 12)
         rot = augment_all(img, seed=0)[3]
-        assert np.array_equal(rot.pixels, img.pixels[::-1, ::-1])
+        assert np.array_equal(rot, img[::-1, ::-1])
 
     def test_translate_fills_black(self):
         img = make_image(40, 40)
-        right = [v for v in augment_all(img, seed=0)
-                 if v.source_tag == "augmented:translate:1"][0]
-        assert np.array_equal(right.pixels[:, :4], np.zeros((40, 4, 3), dtype=np.uint8))
-        assert np.array_equal(right.pixels[:, 4:], img.pixels[:, :-4])
+        right = augment_all(img, seed=0)[pipeline.VARIANTS.index(("translate", 1))]
+        assert np.array_equal(right[:, :4], np.zeros((40, 4, 3), dtype=np.uint8))
+        assert np.array_equal(right[:, 4:], img[:, :-4])
 
     def test_variants_deterministic_in_seed(self):
         img = make_image(30, 30)
         a = augment_all(img, seed=9)
         b = augment_all(img, seed=9)
         c = augment_all(img, seed=10)
-        assert all(np.array_equal(x.pixels, y.pixels) for x, y in zip(a, b))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
         # crops draw their windows from the seed, so some variant must move
-        assert any(not np.array_equal(x.pixels, y.pixels) for x, y in zip(a, c))
+        assert any(not np.array_equal(x, y) for x, y in zip(a, c))
 
 
 class TestAugmentManifest:
     def _dataset(self, tmp_path, n_normal=3, n_defect=2):
         entries = []
         for i in range(n_normal):
-            img = make_image(24, 24, label=0, seed=i)
-            write_ppm(img, tmp_path / f"n{i}.ppm")
+            write_ppm(make_image(24, 24, seed=i), tmp_path / f"n{i}.ppm")
             entries.append(ManifestEntry(path=f"n{i}.ppm", label=0, defect_free=True))
         for i in range(n_defect):
-            img = make_image(24, 24, label=1, seed=100 + i)
-            write_ppm(img, tmp_path / f"d{i}.ppm")
+            write_ppm(make_image(24, 24, seed=100 + i), tmp_path / f"d{i}.ppm")
             entries.append(ManifestEntry(path=f"d{i}.ppm", label=1, defect_free=False))
         return Manifest(seed=7, entries=entries)
 
@@ -203,7 +197,7 @@ class TestAugmentManifest:
         # output heights on both sides of _resize_array's 64-row blocks
         entries = []
         for i, (w, h) in enumerate([(24, 24), (70, 130), (97, 64), (40, 2)]):
-            write_ppm(make_image(w, h, label=1 + i, seed=200 + i), tmp_path / f"d{i}.ppm")
+            write_ppm(make_image(w, h, seed=200 + i), tmp_path / f"d{i}.ppm")
             entries.append(ManifestEntry(path=f"d{i}.ppm", label=1 + i, defect_free=False))
         return Manifest(seed=3, entries=entries)
 
@@ -326,6 +320,14 @@ class TestPPM:
         with pytest.raises(FormatError, match="offset"):
             read_ppm(p)
 
+    @pytest.mark.parametrize("header, offset", [(b"P6\n0 5\n255\n", 3), (b"P6\n5 0\n255\n", 5)])
+    def test_zero_dimension_rejected(self, tmp_path, header, offset):
+        p = tmp_path / "x.ppm"
+        p.write_bytes(header)
+        with pytest.raises(FormatError, match="zero image dimension") as err:
+            read_ppm(p)
+        assert err.value.offset == offset
+
     def test_224_file_size(self, tmp_path):
         px = np.zeros((224, 224, 3), dtype=np.uint8)
         path = tmp_path / "b.ppm"
@@ -338,18 +340,14 @@ class TestPPM:
 class TestToTensor:
     # a decoded image reaches the model through train._batch_tensor
     def test_zero_image(self):
-        img = LabeledImage(width=224, height=224,
-                           pixels=np.zeros((224, 224, 3), dtype=np.uint8),
-                           label=0, defect_free=True)
-        t = _batch_tensor(img.pixels[None])
+        t = _batch_tensor(np.zeros((1, 224, 224, 3), dtype=np.uint8))
         assert t.shape == (1, 3, 224, 224)
         assert t.data.max() == 0.0
 
     def test_endpoints(self):
         px = np.zeros((224, 224, 3), dtype=np.uint8)
         px[0, 0] = 255
-        img = LabeledImage(width=224, height=224, pixels=px, label=0, defect_free=True)
-        t = _batch_tensor(img.pixels[None])
+        t = _batch_tensor(px[None])
         assert t.data[0, 0, 0, 0] == 1.0 and t.data[0, 0, 0, 1] == 0.0
 
 
@@ -370,6 +368,11 @@ class TestManifest:
                 ManifestEntry(path="a.ppm", label=0, defect_free=True),
                 ManifestEntry(path="a.ppm", label=1, defect_free=False),
             ])
+
+    @pytest.mark.parametrize("label, defect_free", [(0, False), (2, True)])
+    def test_label_disagreeing_with_defect_free_rejected(self, label, defect_free):
+        with pytest.raises(InputError, match="d2.ppm: label"):
+            Manifest(seed=0, entries=[ManifestEntry("d2.ppm", label, defect_free)])
 
     def test_unknown_version_rejected(self, tmp_path):
         (tmp_path / "m.json").write_text('{"version": 99, "seed": 0, "entries": []}')

@@ -21,7 +21,7 @@ def glyph_occupancy(img, geo):
     geometry; works because glyph ink is far brighter than the body."""
     n = 0
     for (x0, y0, x1, y1) in geo.glyph_boxes:
-        if (img.pixels[y0:y1, x0:x1].mean(axis=2) > 128).any():
+        if (img[y0:y1, x0:x1].mean(axis=2) > 128).any():
             n += 1
     return n
 
@@ -30,18 +30,12 @@ class TestGenSample:
     def test_deterministic_bytes(self):
         a = gen_sample(CFG, "normal", (512, 480), 7)
         b = gen_sample(CFG, "normal", (512, 480), 7)
-        assert np.array_equal(a.pixels, b.pixels)
-
-    def test_label_consistency(self):
-        a = gen_sample(CFG, "normal", (128, 128), 1)
-        assert a.label == 0 and a.defect_free
-        s = gen_sample(CFG, "scratch", (128, 128), 1)
-        assert s.label == CFG.classes.index("scratch") and not s.defect_free
+        assert np.array_equal(a, b)
 
     def test_scratch_differs_only_inside_chip_box(self):
         normal = gen_sample(CFG, "normal", (512, 480), 7)
         scratch = gen_sample(CFG, "scratch", (512, 480), 7)
-        diff = np.any(normal.pixels != scratch.pixels, axis=2)
+        diff = np.any(normal != scratch, axis=2)
         assert diff.sum() >= 200
         x0, y0, x1, y1 = chip_geometry((512, 480), 7, CFG.density).chip_box
         ys, xs = np.nonzero(diff)
@@ -52,7 +46,7 @@ class TestGenSample:
     def test_every_defect_stays_inside_chip_box(self, kind):
         normal = gen_sample(CFG, "normal", (256, 224), 11)
         bad = gen_sample(CFG, kind, (256, 224), 11)
-        diff = np.any(normal.pixels != bad.pixels, axis=2)
+        diff = np.any(normal != bad, axis=2)
         assert diff.any()
         x0, y0, x1, y1 = chip_geometry((256, 224), 11, CFG.density).chip_box
         ys, xs = np.nonzero(diff)
@@ -78,7 +72,7 @@ class TestGenSample:
         x0, y0, x1, y1 = geo.chip_box
         assert (x1 - x0) * (y1 - y0) < 0.2 * 512 * 480
         img = gen_sample(cfg, "scratch", (512, 480), 5)
-        assert img.pixels.shape == (480, 512, 3)
+        assert img.shape == (480, 512, 3) and img.dtype == np.uint8
 
     def test_unknown_class_rejected(self):
         with pytest.raises(ConfigError):
@@ -92,8 +86,8 @@ class TestGenSample:
         )
         a = gen_sample(cfg, "scratch", (128, 128), 3)
         b = gen_sample(cfg, "scratch#1", (128, 128), 3)
-        assert a.label == 1 and b.label == 2
-        assert not np.array_equal(a.pixels, b.pixels)
+        assert cfg.label_of("scratch") == 1 and cfg.label_of("scratch#1") == 2
+        assert not np.array_equal(a, b)
 
 
 class TestSynthConfig:
@@ -140,6 +134,16 @@ class TestGenDataset:
         assert len(manifest.entries) == 134
         counts = manifest.class_counts()
         assert counts[0] == 100 and sum(counts[k] for k in counts if k != 0) == 34
+
+    def test_label_consistency(self, tmp_path):
+        cfg = SynthConfig(seed=4, resolutions=((16, 16),), resolution_weights=(1.0,),
+                          counts={"normal": 2, "scratch": 1, "glue_blob": 1})
+        manifest = gen_dataset(cfg, tmp_path)
+        names = [e.path.rsplit("_", 1)[0] for e in manifest.entries]
+        assert names == ["normal", "normal", "scratch", "glue_blob"]
+        for name, e in zip(names, manifest.entries):
+            assert e.label == cfg.classes.index(name)
+            assert e.defect_free == (e.label == 0)
 
     def test_paper_scale_row_count(self, tmp_path):
         counts = {"normal": 1501, "scratch": 110, "missing_char": 110,
