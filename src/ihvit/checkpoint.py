@@ -3,9 +3,9 @@
 Layout: magic ``IHVT`` | format version u32 LE | header length u64 LE |
 JSON header ``{config, tensors: [{name, shape, dtype, offset}]}`` |
 payload of concatenated raw little-endian IEEE-754 f32 values.
-Offsets are payload-relative and strictly increasing; a load of a save
-reproduces bit-identical parameters, and a NaN or Inf in the payload is
-a format error.
+Offsets are payload-relative, and each tensor starts where the one
+before it ends; a load of a save reproduces bit-identical parameters,
+and a NaN or Inf in the payload is a format error.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ def save_checkpoint(params: dict[str, Tensor | np.ndarray], config: dict, path) 
             raise UsageError(
                 f"checkpoint payload is f32-only; parameter {name!r} has dtype {arr.dtype}"
             )
-        if not arr.flags.c_contiguous:
-            arr = np.ascontiguousarray(arr)
         entries.append({
             "name": name,
             "shape": list(arr.shape),
@@ -74,21 +72,16 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         raise FormatError(f"{path}: header missing tensor manifest", offset=16)
 
     expected = 0
-    last = -1
+    sizes = []
     for e in entries:
         _check_entry(path, e)
-        if e["offset"] <= last:
-            raise FormatError(
-                f"{path}: tensor offsets not strictly increasing at {e['name']!r}",
-                offset=16 + hlen + e["offset"],
-            )
         if e["offset"] != expected:
             raise FormatError(
                 f"{path}: tensor {e['name']!r} at offset {e['offset']}, expected {expected}",
                 offset=16 + hlen + expected,
             )
-        last = e["offset"]
-        expected += 4 * int(np.prod(e["shape"], dtype=np.int64)) if e["shape"] else 4
+        sizes.append(4 * int(np.prod(e["shape"], dtype=np.int64)))
+        expected += sizes[-1]
 
     payload = data[16 + hlen:]
     if len(payload) != expected:
@@ -102,8 +95,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         name = [e["name"] for e in entries if e["offset"] <= at][-1]
         raise FormatError(f"{path}: tensor {name!r} holds NaN or Inf", offset=16 + hlen + at)
     params: dict[str, np.ndarray] = {}
-    for e in entries:
-        size = 4 * int(np.prod(e["shape"], dtype=np.int64)) if e["shape"] else 4
+    for e, size in zip(entries, sizes):
         raw = payload[e["offset"]:e["offset"] + size]
         params[e["name"]] = np.frombuffer(raw, dtype="<f4").reshape(e["shape"]).copy()
     return params, header.get("config", {})

@@ -20,9 +20,11 @@ from .train import (
     ablate,
     arm_from_checkpoint,
     build_arm,
+    check_labels,
     confusion_table,
-    evaluate_manifest,
+    evaluate,
     format_table,
+    load_split,
     save_arm,
     train,
 )
@@ -85,7 +87,8 @@ def cmd_eval(args) -> int:
     arm = arm_from_checkpoint(args.checkpoint)
     path = Path(args.manifest)
     manifest = Manifest.load(path)
-    accuracy, confusion = evaluate_manifest(arm, manifest, path.parent)
+    check_labels(arm, manifest, ("test",))
+    accuracy, confusion = evaluate(arm, *load_split(manifest, path.parent, "test"))
     _log(f"arm: {arm.name}  test accuracy: {100 * accuracy:.2f}%")
     _log(confusion_table(confusion))
     return 0

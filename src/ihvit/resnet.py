@@ -61,6 +61,11 @@ class ResNetConfig:
         return self.stage_widths[-1]
 
 
+def _stride(stage: int, block: int) -> int:
+    """The first block of every stage after the first halves the spatial size."""
+    return 2 if (block == 0 and stage > 0) else 1
+
+
 class ResNetBranch:
     def __init__(self, config: ResNetConfig, seed: int = 0, dtype: str = "f32"):
         self.config = config
@@ -75,14 +80,13 @@ class ResNetBranch:
             mid = width // config.bottleneck
             for b in range(blocks):
                 pre = f"s{s}.b{b}"
-                stride = 2 if (b == 0 and s > 0) else 1
                 p[f"{pre}.conv1.w"] = kaiming_uniform(rng, (mid, cin, 1, 1))
                 p[f"{pre}.conv2.w"] = kaiming_uniform(rng, (mid, mid, 3, 3))
                 p[f"{pre}.conv3.w"] = kaiming_uniform(rng, (width, mid, 1, 1))
                 for i, c in ((1, mid), (2, mid), (3, width)):
                     p[f"{pre}.norm{i}.g"] = np.ones(c)
                     p[f"{pre}.norm{i}.b"] = np.zeros(c)
-                if stride != 1 or cin != width:
+                if _stride(s, b) != 1 or cin != width:
                     p[f"{pre}.down.w"] = kaiming_uniform(rng, (width, cin, 1, 1))
                     p[f"{pre}.down.norm.g"] = np.ones(width)
                     p[f"{pre}.down.norm.b"] = np.zeros(width)
@@ -94,9 +98,10 @@ class ResNetBranch:
     def _norm(self, x: Tensor, prefix: str) -> Tensor:
         return instance_norm2d(x, self.params[f"{prefix}.g"], self.params[f"{prefix}.b"])
 
-    def bottleneck_forward(self, x: Tensor, stage: int, block: int, stride: int) -> Tensor:
+    def bottleneck_forward(self, x: Tensor, stage: int, block: int) -> Tensor:
         """1x1 reduce -> 3x3 (stride) -> 1x1 expand, plus shortcut, relu after add."""
         pre = f"s{stage}.b{block}"
+        stride = _stride(stage, block)
         y = relu(self._norm(conv2d(x, self.params[f"{pre}.conv1.w"]), f"{pre}.norm1"))
         y = relu(self._norm(conv2d(y, self.params[f"{pre}.conv2.w"], stride=stride, pad=1),
                             f"{pre}.norm2"))
@@ -106,10 +111,6 @@ class ResNetBranch:
                             f"{pre}.down.norm")
         else:
             sc = x
-        if sc.shape != y.shape:
-            raise ConfigError(
-                f"residual add mismatch at {pre}: {sc.shape} vs {y.shape}"
-            )
         return relu(add(y, sc))
 
     def forward(self, images: Tensor) -> tuple[Tensor, Tensor]:
@@ -121,8 +122,7 @@ class ResNetBranch:
         x = maxpool2d(x, 3, 2, 1)
         for s, blocks in enumerate(self.config.stage_blocks):
             for b in range(blocks):
-                stride = 2 if (b == 0 and s > 0) else 1
-                x = self.bottleneck_forward(x, s, b, stride)
+                x = self.bottleneck_forward(x, s, b)
         feats = mean(x, axis=(2, 3))
         logits = add(matmul(feats, self.params["head.w"]), self.params["head.b"])
         return logits, feats

@@ -150,54 +150,37 @@ def cosine_lr(step: int, total_steps: int, lr0: float, lr_min: float = 0.0) -> f
 # optimizer
 
 
-def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: dict, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8, weight_decay: float = 0.0) -> None:
-    """One in-place Adam update with bias correction; L2 term added to grads."""
-    state["t"] = state.get("t", 0) + 1
-    t = state["t"]
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
-    m_state = state.setdefault("m", {})
-    v_state = state.setdefault("v", {})
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
-        if g.shape != p.shape:
-            raise UsageError(
-                f"adam_step: gradient shape {g.shape} != parameter shape {p.shape} for {name!r}"
-            )
-        if weight_decay:
-            g = g + p.dtype.type(weight_decay) * p
-        m = m_state.get(name)
-        if m is None:
-            m = np.zeros_like(p)
-            v = np.zeros_like(p)
-        else:
-            v = v_state[name]
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * (g * g)
-        m_state[name] = m
-        v_state[name] = v
-        p -= (lr / bc1) * m / (np.sqrt(v / bc2) + eps)
-
-
 class Adam:
-    """Stateful wrapper around :func:`adam_step` bound to arm parameters."""
+    """In-place Adam with bias correction over an arm's parameters, the L2
+    term added to each gradient; ``t``, ``m`` and ``v`` are its whole state."""
 
     def __init__(self, params: dict[str, Tensor], cfg: TrainConfig):
         self.params = params
         self.cfg = cfg
-        self.state: dict = {}
+        self.t = 0
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
 
     def step(self, lr: float) -> None:
-        raw = {k: t.data for k, t in self.params.items()}
-        grads = {k: t.grad for k, t in self.params.items() if t.grad is not None}
-        adam_step(raw, grads, self.state, lr,
-                  self.cfg.beta1, self.cfg.beta2, self.cfg.eps, self.cfg.weight_decay)
-        for t in self.params.values():
-            t.grad = None
+        """Update every parameter that has a gradient, then clear the gradients."""
+        cfg = self.cfg
+        self.t += 1
+        bc1 = 1.0 - cfg.beta1 ** self.t
+        bc2 = 1.0 - cfg.beta2 ** self.t
+        for name, w in self.params.items():
+            g, w.grad = w.grad, None
+            if g is None:
+                continue
+            p = w.data
+            if g.shape != p.shape:
+                raise UsageError(
+                    f"Adam: gradient shape {g.shape} != parameter shape {p.shape} for {name!r}"
+                )
+            if cfg.weight_decay:
+                g = g + p.dtype.type(cfg.weight_decay) * p
+            m = self.m[name] = cfg.beta1 * self.m.get(name, 0.0) + (1.0 - cfg.beta1) * g
+            v = self.v[name] = cfg.beta2 * self.v.get(name, 0.0) + (1.0 - cfg.beta2) * (g * g)
+            p -= (lr / bc1) * m / (np.sqrt(v / bc2) + cfg.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -211,20 +194,19 @@ def _logits(branch, images: Tensor) -> Tensor:
 @dataclass
 class Arm:
     name: str
-    resnet: ResNetBranch | None
-    vit: ViTBranch | None
+    # "resnet" before "vit": the order of the parameters, the branch losses and Adam's updates
+    branches: dict[str, ResNetBranch | ViTBranch]
     fusion: FusionWeights = field(default_factory=FusionWeights)
 
+    @property
+    def classes(self) -> int:
+        return next(iter(self.branches.values())).config.classes
+
     def parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        if self.resnet is not None:
-            out.update({f"resnet.{k}": v for k, v in self.resnet.params.items()})
-        if self.vit is not None:
-            out.update({f"vit.{k}": v for k, v in self.vit.params.items()})
-        return out
+        return {f"{k}.{n}": t for k, b in self.branches.items() for n, t in b.params.items()}
 
     def branch_logits(self, images: Tensor, tapes: list[Tape] | None = None) -> dict[str, Tensor]:
-        """Logits per active branch.
+        """Logits per branch.
 
         With ``tapes``, branch *k* records onto ``tapes[k]`` and the
         branches run concurrently (see :func:`run_all`: the ResNet branch on
@@ -237,8 +219,7 @@ class Arm:
         threads stay busy to the end.  The chunks are the same for every
         thread count, and so are the logits.
         """
-        branches = {k: b for k, b in (("resnet", self.resnet), ("vit", self.vit))
-                    if b is not None}
+        branches = self.branches
         if tapes is not None:
             if len(tapes) != len(branches):
                 raise UsageError(f"branch_logits: {len(branches)} branches but {len(tapes)} tapes")
@@ -258,12 +239,7 @@ class Arm:
         return {k: logits[k] for k in branches}
 
     def branch_weights(self) -> list[float]:
-        out = []
-        if self.resnet is not None:
-            out.append(self.fusion.a_resnet)
-        if self.vit is not None:
-            out.append(self.fusion.a_vit)
-        return out
+        return [getattr(self.fusion, f"a_{k}") for k in self.branches]
 
     def predict_probs(self, images: Tensor) -> np.ndarray:
         """Fused (or single-branch) class probabilities, [B, K]."""
@@ -275,26 +251,17 @@ class Arm:
         return next(iter(probs.values()))
 
     def config_dict(self) -> dict:
-        return {
-            "arm": self.name,
-            "resnet": asdict(self.resnet.config) if self.resnet else None,
-            "vit": asdict(self.vit.config) if self.vit else None,
-            "fusion": asdict(self.fusion),
-        }
+        return {"arm": self.name, "resnet": None, "vit": None,
+                **{k: asdict(b.config) for k, b in self.branches.items()},
+                "fusion": asdict(self.fusion)}
 
 
-def _arm_vit_config(name: str, base: ViTConfig) -> ViTConfig:
-    if name in ("resnet",):
-        raise ConfigError(f"arm {name!r} has no ViT branch")
-    if name == "vit":
-        channels = (ChannelSpec(16, "linear"),)
-    elif name == "vit-conv":
-        channels = (ChannelSpec(16, "convblock"),)
-    elif name == "vit-2ch":
-        channels = (ChannelSpec(16, "linear"), ChannelSpec(32, "linear"))
-    else:  # ih-vit keeps the configured dual conv channels
-        channels = base.channels
-    return replace(base, channels=channels)
+# the ViT channels of each arm built from stock channels; ih-vit keeps the configured ones
+_ARM_CHANNELS = {
+    "vit": (ChannelSpec(16, "linear"),),
+    "vit-conv": (ChannelSpec(16, "convblock"),),
+    "vit-2ch": (ChannelSpec(16, "linear"), ChannelSpec(32, "linear")),
+}
 
 
 def build_arm(name: str, vit_cfg: ViTConfig, resnet_cfg: ResNetConfig,
@@ -304,13 +271,13 @@ def build_arm(name: str, vit_cfg: ViTConfig, resnet_cfg: ResNetConfig,
         raise ConfigError(f"unknown arm {name!r}; expected one of {ARM_ORDER}")
     if name == "ih-vit" and resnet_cfg.classes != vit_cfg.classes:
         raise ConfigError(f"ih-vit branch classes differ: {resnet_cfg.classes} vs {vit_cfg.classes}")
-    fusion = fusion or FusionWeights()
-    resnet = vit = None
+    branches = {}
     if name in ("resnet", "ih-vit"):
-        resnet = ResNetBranch(resnet_cfg, seed=seed, dtype=dtype)
+        branches["resnet"] = ResNetBranch(resnet_cfg, seed=seed, dtype=dtype)
     if name != "resnet":
-        vit = ViTBranch(_arm_vit_config(name, vit_cfg), seed=seed, dtype=dtype)
-    return Arm(name=name, resnet=resnet, vit=vit, fusion=fusion)
+        vit_cfg = replace(vit_cfg, channels=_ARM_CHANNELS.get(name, vit_cfg.channels))
+        branches["vit"] = ViTBranch(vit_cfg, seed=seed, dtype=dtype)
+    return Arm(name, branches, fusion or FusionWeights())
 
 
 # model fields that older checkpoint headers carry, each with the one value
@@ -373,6 +340,13 @@ def load_split(manifest: Manifest, base_dir, split: str) -> tuple[np.ndarray, np
         imgs[i] = px
         labels[i] = e.label
     return imgs, labels
+
+
+def check_labels(arm: Arm, manifest: Manifest, splits: tuple[str, ...]) -> None:
+    """Refuse, before any image is read, a label in ``splits`` the arm has no class for."""
+    top = max((e.label for e in manifest.entries if e.split in splits), default=-1)
+    if top >= arm.classes:
+        raise InputError(f"manifest label {top} is out of range for the arm's {arm.classes} classes")
 
 
 def _batch_tensor(imgs: np.ndarray) -> Tensor:
@@ -461,8 +435,7 @@ def evaluate(arm: Arm, imgs: np.ndarray, labels: np.ndarray,
     """Accuracy and K x K confusion matrix (rows = true class)."""
     if len(imgs) == 0:
         raise InputError("evaluate: empty test set")
-    classes = (arm.resnet or arm.vit).config.classes
-    confusion = np.zeros((classes, classes), dtype=np.int64)
+    confusion = np.zeros((arm.classes, arm.classes), dtype=np.int64)
     for i in range(0, len(imgs), batch_size):
         x = _batch_tensor(imgs[i:i + batch_size])
         probs = arm.predict_probs(x)
@@ -471,10 +444,6 @@ def evaluate(arm: Arm, imgs: np.ndarray, labels: np.ndarray,
             confusion[t, p] += 1
     accuracy = float(np.trace(confusion) / confusion.sum())
     return accuracy, confusion
-
-
-def evaluate_manifest(arm: Arm, manifest: Manifest, base_dir) -> tuple[float, np.ndarray]:
-    return evaluate(arm, *load_split(manifest, base_dir, "test"))
 
 
 def _forward_backward(arm: Arm, x: Tensor, y: np.ndarray, weights: list[float]) -> float:
@@ -503,10 +472,7 @@ def train(arm: Arm, manifest: Manifest, base_dir, cfg: TrainConfig,
           log=None) -> MetricsReport:
     """Epoch loop: shuffle, batch forward on the active branches, combined
     loss, backward, Adam step under cosine decay; per-epoch test evaluation."""
-    classes = (arm.resnet or arm.vit).config.classes
-    top = max((e.label for e in manifest.entries if e.split in ("train", "test")), default=-1)
-    if top >= classes:
-        raise InputError(f"manifest label {top} is out of range for the arm's {classes} classes")
+    check_labels(arm, manifest, ("train", "test"))
     train_x, train_y = load_split(manifest, base_dir, "train")
     test_x, test_y = load_split(manifest, base_dir, "test")
 

@@ -279,7 +279,7 @@ def check_shape_resnet50() -> str:
     h = T.maxpool2d(h, 3, 2, 1)
     for s, blocks in enumerate(model.config.stage_blocks):
         for b in range(blocks):
-            h = model.bottleneck_forward(h, s, b, 2 if (b == 0 and s > 0) else 1)
+            h = model.bottleneck_forward(h, s, b)
     logits, feats = model.forward(x)
     return _require(h.shape[2:] == (7, 7) and feats.shape[1] == 2048,
                     f"pre-pool map {h.shape[2]}x{h.shape[3]}, feature width {feats.shape[1]}")

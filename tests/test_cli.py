@@ -10,6 +10,9 @@ from ihvit.cli import main
 from ihvit.config import apply_override, default_config_dict, load_run_config
 from ihvit.errors import ConfigError
 from ihvit.pipeline import Manifest, ManifestEntry, read_ppm, write_ppm
+from ihvit.resnet import ResNetConfig
+from ihvit.train import build_arm, save_arm
+from ihvit.vit import ViTConfig
 
 
 SMALL_SYNTH = [
@@ -361,6 +364,26 @@ class TestTrainEval:
             main(["train", "--manifest", str(data / "manifest.json"),
                   "--arm", "alexnet", "--out", str(run)])
         assert exc.value.code == 2
+
+    def test_eval_with_fewer_classes_than_labels_exits_2(self, trained, tmp_path, capsys,
+                                                          monkeypatch):
+        # refused before any image is read, naming the label and the class count
+        import ihvit.pipeline as pipeline_mod
+        import ihvit.train as train_mod
+        data, _ = trained
+        ckpt = tmp_path / "resnet.ckpt"
+        resnet = ResNetConfig(stem_width=8, stage_blocks=(1, 1), stage_widths=(16, 32), classes=2)
+        save_arm(build_arm("resnet", ViTConfig(), resnet), ckpt)
+        top = max(e.label for e in Manifest.load(data / "manifest.json").subset("test"))
+        assert top >= 2
+        reads = []
+        for mod in (pipeline_mod, train_mod):
+            monkeypatch.setattr(mod, "read_ppm", lambda path: reads.append(path))
+        assert main(["eval", "--checkpoint", str(ckpt),
+                     "--manifest", str(data / "manifest.json")]) == 2
+        assert reads == []
+        assert (f"manifest label {top} is out of range for the arm's 2 classes"
+                in capsys.readouterr().err)
 
     def test_eval_on_corrupt_checkpoint_exits_3(self, trained, tmp_path):
         data, run = trained

@@ -20,14 +20,14 @@ class TestBottleneck:
         for name in ("s0.b0.conv1.w", "s0.b0.conv2.w", "s0.b0.conv3.w"):
             model.params[name].data[:] = 0
         x = Tensor(np.random.default_rng(0).normal(size=(1, 8, 6, 6)).astype(np.float32))
-        out = model.bottleneck_forward(x, 0, 0, 1)
+        out = model.bottleneck_forward(x, 0, 0)
         assert np.array_equal(out.data, np.maximum(x.data, 0))
 
     def test_stride2_block_halves_spatial(self):
         cfg = ResNetConfig.resnet50(classes=2)
         model = ResNetBranch(cfg, seed=0)
         x = Tensor(np.random.default_rng(1).normal(size=(1, 256, 56, 56)).astype(np.float32) * 0.1)
-        out = model.bottleneck_forward(x, 1, 0, 2)
+        out = model.bottleneck_forward(x, 1, 0)
         assert out.shape == (1, 512, 28, 28)
 
     def test_block_gradcheck_f64(self):
@@ -37,7 +37,7 @@ class TestBottleneck:
         c = Tensor(np.random.default_rng(3).uniform(0.5, 1.0, (1, 8, 5, 5)), dtype="f64")
 
         def f(_):
-            return T.sum_(T.mul(model.bottleneck_forward(x, 0, 0, 1), c))
+            return T.sum_(T.mul(model.bottleneck_forward(x, 0, 0), c))
 
         assert grad_check(f, model.params["s0.b0.conv2.w"], h=1e-5) <= 1e-5
 
@@ -53,7 +53,7 @@ class TestForward:
         sizes = []
         for s, blocks in enumerate(model.config.stage_blocks):
             for b in range(blocks):
-                h = model.bottleneck_forward(h, s, b, 2 if (b == 0 and s > 0) else 1)
+                h = model.bottleneck_forward(h, s, b)
             sizes.append(h.shape[2])
         assert sizes == [56, 28, 14, 7]
         logits, feats = model.forward(x)

@@ -15,25 +15,24 @@ from ihvit.errors import ConfigError, FormatError, InputError
 from ihvit.pipeline import balance_and_split
 from ihvit.resnet import ResNetConfig
 from ihvit.synth import SynthConfig, gen_dataset
-from ihvit.tensor import NumericsError, Tape, Tensor, UsageError
+from ihvit.tensor import NumericsError, Tape, Tensor, UsageError, softmax
 from ihvit.train import (
     ARM_DISPLAY,
     ARM_ORDER,
     REFERENCE_ACC,
     Adam,
+    Arm,
     FusionWeights,
     MetricsReport,
     TrainConfig,
     _batch_tensor,
     ablate,
-    adam_step,
     arm_from_checkpoint,
     build_arm,
     combined_loss,
     cosine_lr,
     decision_fuse,
     evaluate,
-    evaluate_manifest,
     load_split,
     save_arm,
     train,
@@ -160,36 +159,44 @@ class TestCosineLr:
         assert all(0.0 <= lr <= 0.001 for lr in lrs)
 
 
+def adam_on(value, grad, lr, **cfg):
+    """One Adam step on a lone parameter ``w``; returns the optimizer."""
+    w = Tensor(np.asarray(value), requires_grad=True)
+    adam = Adam({"w": w}, TrainConfig(**{"weight_decay": 0.0, **cfg}))
+    w.grad = np.asarray(grad)
+    adam.step(lr)
+    return adam
+
+
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
-        p = {"w": np.ones(4, dtype=np.float32)}
-        adam_step(p, {"w": np.zeros(4, dtype=np.float32)}, {}, lr=0.1, weight_decay=0.0)
-        assert np.array_equal(p["w"], np.ones(4, dtype=np.float32))
+        adam = adam_on(np.ones(4, dtype=np.float32), np.zeros(4, dtype=np.float32), lr=0.1)
+        assert np.array_equal(adam.params["w"].data, np.ones(4, dtype=np.float32))
 
     def test_first_step_is_bias_corrected(self):
-        p = {"w": np.zeros(1, dtype=np.float64)}
-        adam_step(p, {"w": np.ones(1, dtype=np.float64)}, {}, lr=0.01,
-                  eps=1e-8, weight_decay=0.0)
-        assert p["w"][0] == pytest.approx(-0.01, rel=1e-6)
+        adam = adam_on(np.zeros(1), np.ones(1), lr=0.01, eps=1e-8)
+        assert adam.params["w"].data[0] == pytest.approx(-0.01, rel=1e-6)
+        assert adam.t == 1 and adam.params["w"].grad is None
 
     def test_descent_on_quadratic(self):
-        x = np.array([5.0])
-        state = {}
+        x = Tensor(np.array([5.0]), requires_grad=True)
+        adam = Adam({"x": x}, TrainConfig(weight_decay=0.0))
         vals = []
         for _ in range(10):
-            vals.append(float(x[0] ** 2))
-            adam_step({"x": x}, {"x": 2 * x}, state, lr=0.1, weight_decay=0.0)
-        assert float(x[0] ** 2) < vals[0]
+            vals.append(float(x.data[0] ** 2))
+            x.grad = 2 * x.data
+            adam.step(0.1)
+        assert float(x.data[0] ** 2) < vals[0]
         assert all(b <= a for a, b in zip(vals, vals[1:]))
+        assert adam.t == 10 and set(adam.m) == set(adam.v) == {"x"}
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(UsageError):
-            adam_step({"w": np.zeros(3)}, {"w": np.zeros(4)}, {}, lr=0.1)
+        with pytest.raises(UsageError, match=r"gradient shape \(4,\) != parameter shape \(3,\)"):
+            adam_on(np.zeros(3), np.zeros(4), lr=0.1)
 
     def test_l2_term_pulls_toward_zero(self):
-        p = {"w": np.full(1, 2.0)}
-        adam_step(p, {"w": np.zeros(1)}, {}, lr=0.1, weight_decay=0.1)
-        assert p["w"][0] < 2.0
+        adam = adam_on(np.full(1, 2.0), np.zeros(1), lr=0.1, weight_decay=0.1)
+        assert adam.params["w"].data[0] < 2.0
 
 
 class TestCheckpoint:
@@ -220,6 +227,18 @@ class TestCheckpoint:
         assert len(blob) - 16 - hlen == total
         offsets = [e["offset"] for e in header["tensors"]]
         assert offsets == sorted(offsets) and len(set(offsets)) == len(offsets)
+
+    def test_zero_size_and_transposed_tensors_roundtrip(self, tmp_path):
+        # a zero-size tensor starts where the next one starts; a transposed
+        # view is written in C order
+        t = np.arange(12, dtype=np.float32).reshape(3, 4).T
+        assert not t.flags.c_contiguous
+        params = {"a": np.zeros(0, dtype=np.float32), "b": np.ones(3, dtype=np.float32),
+                  "c": np.zeros((2, 0), dtype=np.float32), "d": t}
+        save_checkpoint(params, {}, tmp_path / "m.ckpt")
+        loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
+        for k, v in params.items():
+            assert loaded[k].shape == v.shape and loaded[k].tobytes() == v.tobytes(), k
 
     def test_truncated_payload_names_counts(self, tmp_path):
         save_checkpoint(self._params(), {}, tmp_path / "m.ckpt")
@@ -262,25 +281,37 @@ class TestArms:
     def test_all_five_arms_build(self):
         for name in ARM_ORDER:
             arm = build_arm(name, TINY_VIT, TINY_RESNET, seed=0)
-            assert (arm.resnet is not None) == (name in ("resnet", "ih-vit"))
-            assert (arm.vit is not None) == (name != "resnet")
+            expected = {"resnet": ["resnet"], "ih-vit": ["resnet", "vit"]}.get(name, ["vit"])
+            assert list(arm.branches) == expected
 
     def test_arm_channel_layouts(self):
-        vit = build_arm("vit", TINY_VIT, TINY_RESNET, seed=0).vit
+        vit = build_arm("vit", TINY_VIT, TINY_RESNET, seed=0).branches["vit"]
         assert [c.embed for c in vit.config.channels] == ["linear"]
-        conv = build_arm("vit-conv", TINY_VIT, TINY_RESNET, seed=0).vit
+        conv = build_arm("vit-conv", TINY_VIT, TINY_RESNET, seed=0).branches["vit"]
         assert [c.embed for c in conv.config.channels] == ["convblock"]
-        two = build_arm("vit-2ch", TINY_VIT, TINY_RESNET, seed=0).vit
+        two = build_arm("vit-2ch", TINY_VIT, TINY_RESNET, seed=0).branches["vit"]
         assert [c.embed for c in two.config.channels] == ["linear", "linear"]
         assert [c.patch for c in two.config.channels] == [16, 32]
-        ih = build_arm("ih-vit", TINY_VIT, TINY_RESNET, seed=0).vit
+        ih = build_arm("ih-vit", TINY_VIT, TINY_RESNET, seed=0).branches["vit"]
         assert [c.embed for c in ih.config.channels] == ["convblock", "conv_only"]
+
+    def test_single_branch_arm_scores_one_branch_of_the_fused_arm(self):
+        # an arm holding one branch of the fused arm shares its weights and
+        # gives that branch's probabilities alone, bit for bit
+        fused = build_arm("ih-vit", ViTConfig(classes=6), ResNetConfig.desk(classes=6), seed=4)
+        x = _batch_tensor(np.random.default_rng(4).integers(0, 256, (5, 224, 224, 3),
+                                                            dtype=np.uint8))
+        logits = fused.branch_logits(x)
+        for k in ("resnet", "vit"):
+            alone = Arm(k, {k: fused.branches[k]})
+            expected = softmax(logits[k], axis=-1).data
+            assert alone.predict_probs(x).tobytes() == expected.tobytes(), k
 
     def test_branch_class_mismatch_rejected_at_build(self):
         # the fused arm averages the two branches' class probabilities
         with pytest.raises(ConfigError, match="classes differ: 7 vs 6"):
             build_arm("ih-vit", TINY_VIT, replace(TINY_RESNET, classes=7))
-        assert build_arm("resnet", TINY_VIT, ResNetConfig(classes=7)).resnet.config.classes == 7
+        assert build_arm("resnet", TINY_VIT, ResNetConfig(classes=7)).classes == 7
 
     def test_unknown_arm_rejected(self):
         with pytest.raises(ConfigError):
@@ -382,7 +413,7 @@ class TestTrain:
             assert probs[0] == probs[1] == probs[2], n
             # across chunkings only the summation order differs, which BLAS decides
             logits = arm.branch_logits(x)
-            for name, branch in (("resnet", arm.resnet), ("vit", arm.vit)):
+            for name, branch in arm.branches.items():
                 whole = branch.forward(x)[0].data
                 assert logits[name].shape == whole.shape == (n, 6)
                 np.testing.assert_allclose(logits[name].data, whole, rtol=0, atol=1e-6)
@@ -435,7 +466,7 @@ class TestTrain:
         restored = arm_from_checkpoint(tmp_path / "arm.ckpt")
         for k, t in arm.parameters().items():
             assert restored.parameters()[k].data.tobytes() == t.data.tobytes()
-        acc, _ = evaluate_manifest(restored, manifest, root)
+        acc, _ = evaluate(restored, *load_split(manifest, root, "test"))
         assert acc == report.accuracy
         test_x, test_y = load_split(manifest, root, "test")
         x = _batch_tensor(test_x[:4])
