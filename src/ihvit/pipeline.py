@@ -147,13 +147,13 @@ class Manifest:
 
 
 def write_ppm(pixels: np.ndarray, path) -> None:
-    pixels = np.asarray(pixels, dtype=np.uint8)
+    """Write a uint8 (H, W, 3) array as a binary P6 file through
+    ``util.write_atomic``, so a failed write leaves ``path`` as it was."""
+    pixels = np.ascontiguousarray(pixels, dtype=np.uint8)
     h, w, c = pixels.shape
     if c != 3:
         raise InputError(f"write_ppm: expected RGB pixels, got {pixels.shape}")
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(np.ascontiguousarray(pixels).tobytes())
+    write_atomic(path, [f"P6\n{w} {h}\n255\n".encode("ascii"), pixels])
 
 
 def read_ppm(path) -> np.ndarray:
@@ -188,13 +188,11 @@ def read_ppm(path) -> np.ndarray:
         raise FormatError(f"{path}: unsupported maxval {maxval}", offset=pos)
     pos += 1  # single whitespace byte after maxval
     expected = 3 * w * h
-    payload = data[pos:pos + expected]
-    if len(payload) != expected:
-        raise FormatError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected}",
-            offset=pos + len(payload),
-        )
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3).copy()
+    got = min(expected, max(0, len(data) - pos))
+    if got != expected:
+        raise FormatError(f"{path}: payload is {got} bytes, expected {expected}",
+                          offset=pos + got)
+    return np.frombuffer(data, dtype=np.uint8, count=expected, offset=pos).reshape(h, w, 3).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +203,8 @@ def read_ppm(path) -> np.ndarray:
 _RESIZE_ROWS = 64
 
 
-def _resize_array(pixels: np.ndarray, tw: int, th: int) -> np.ndarray:
+def _resize_array(pixels: np.ndarray, tw: int, th: int,
+                  window: tuple[int, int, int, int] | None = None) -> np.ndarray:
     """Bilinear resample with half-pixel-center (corner-aligned-off) sampling.
 
     Each output byte is ``rint(top*(1-fy) + bottom*fy)`` clipped to [0, 255],
@@ -218,12 +217,20 @@ def _resize_array(pixels: np.ndarray, tw: int, th: int) -> np.ndarray:
     byte-identical to a whole-image computation, while a block's temporaries
     stay near 2.5 MB (whole-image float64 copies of a 2-3 MP frame take
     50-90 MB).  ``pixels`` may be any (H, W, 3) uint8 view.
+
+    ``window = (x, y, ww, wh)`` makes only that window of the ``tw`` x
+    ``th`` output: the same sample positions and arithmetic, so the bytes
+    equal the window sliced from the whole output.
     """
     h, w = pixels.shape[:2]
     sx = w / tw
     sy = h / th
     xs = (np.arange(tw, dtype=np.float64) + 0.5) * sx - 0.5
     ys = (np.arange(th, dtype=np.float64) + 0.5) * sy - 0.5
+    if window is not None:
+        wx, wy, ww, wh = window
+        xs, ys = xs[wx:wx + ww], ys[wy:wy + wh]
+        tw, th = len(xs), len(ys)
     x0 = np.clip(np.floor(xs), 0, w - 1).astype(np.int64)
     y0 = np.clip(np.floor(ys), 0, h - 1).astype(np.int64)
     x1 = np.minimum(x0 + 1, w - 1)
@@ -257,13 +264,6 @@ def _variant_rng(seed: int, family: str, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, _FAMILY_IDS[family], index)))
 
 
-def _center_crop(pixels: np.ndarray, w: int, h: int) -> np.ndarray:
-    ph, pw = pixels.shape[:2]
-    y0 = (ph - h) // 2
-    x0 = (pw - w) // 2
-    return pixels[y0:y0 + h, x0:x0 + w]
-
-
 def _apply_variant(px: np.ndarray, family: str, index: int, seed: int) -> np.ndarray:
     h, w = px.shape[:2]
     if family == "flip":
@@ -276,8 +276,9 @@ def _apply_variant(px: np.ndarray, family: str, index: int, seed: int) -> np.nda
         return rotated
     if family == "scale":
         f = SCALE_FACTORS[index]
-        big = _resize_array(px, max(w + 1, round(w * f)), max(h + 1, round(h * f)))
-        return _center_crop(big, w, h)
+        bw, bh = max(w + 1, round(w * f)), max(h + 1, round(h * f))
+        # the enlarged frame's centre window, the only part kept
+        return _resize_array(px, bw, bh, window=((bw - w) // 2, (bh - h) // 2, w, h))
     if family == "crop":
         rng = _variant_rng(seed, family, index)
         f = rng.uniform(*CROP_FRACTION_RANGE)
@@ -330,6 +331,12 @@ def augment_manifest(manifest: Manifest, base_dir,
     The new manifest is built before any image is read or written, so a
     variant path the manifest already lists (say, on a second run over an
     augmented manifest) raises ``InputError`` with the disk untouched.
+    Sources are taken one at a time, and their 14 variants go through
+    ``util.run_all``: each call makes one variant and writes it, so a
+    thread holds one variant at a time and the files do not depend on
+    ``IHVIT_THREADS``.  If any read, variant or write fails, the variant
+    files already written are removed and the first error in call order
+    is raised.
     """
     base = Path(base_dir)
     sources = [e for e in manifest.entries
@@ -344,10 +351,22 @@ def augment_manifest(manifest: Manifest, base_dir,
     ) for family, index in VARIANTS] for e in sources]
     added = [t for ts in targets for t in ts]
     out = Manifest(seed=manifest.seed, entries=manifest.entries + added)
-    for i, (entry, ts) in enumerate(zip(sources, targets)):
-        pixels = read_ppm(base / entry.path)
-        for var, t in zip(augment_all(pixels, seed=_entry_seed(manifest.seed, i)), ts):
-            write_ppm(var, base / t.path)
+    written: list[Path] = []
+
+    def emit(pixels, family, index, seed, path):
+        write_ppm(_apply_variant(pixels, family, index, seed), path)
+        written.append(path)
+
+    try:
+        for i, (entry, ts) in enumerate(zip(sources, targets)):
+            pixels = read_ppm(base / entry.path)
+            seed = _entry_seed(manifest.seed, i)
+            run_all([partial(emit, pixels, family, index, seed, base / t.path)
+                     for (family, index), t in zip(VARIANTS, ts)])
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
     return out, len(added)
 
 

@@ -300,19 +300,33 @@ def _apply_defect(img: np.ndarray, geo: ChipGeometry, kind: str, style: int,
         cyc = rng.uniform(y0 + ch * 0.2, y1 - ch * 0.2)
         rx = cw * rng.uniform(0.10, 0.18)
         ry = ch * rng.uniform(0.10, 0.18)
-        yy, xx = np.mgrid[y0:y1, x0:x1]
+        # the blob's box with a pixel to spare, inside the chip: a pixel
+        # beyond it is at least rx + 1 (or ry + 1) from the centre
+        bx0, bx1 = max(x0, math.floor(cxc - rx)), min(x1, math.ceil(cxc + rx) + 1)
+        by0, by1 = max(y0, math.floor(cyc - ry)), min(y1, math.ceil(cyc + ry) + 1)
+        yy, xx = np.mgrid[by0:by1, bx0:bx1]
         mask = ((xx - cxc) / rx) ** 2 + ((yy - cyc) / ry) ** 2 <= 1.0
-        region = img[y0:y1, x0:x1].astype(np.float64)
+        region = img[by0:by1, bx0:bx1].astype(np.float64)
         glue = np.array((152, 157, 143), dtype=np.float64)
         alpha = 0.5 + 0.1 * (style % 2)
         region[mask] = region[mask] * (1 - alpha) + glue * alpha
-        img[y0:y1, x0:x1] = np.rint(region).astype(np.int16)
+        img[by0:by1, bx0:bx1] = np.rint(region).astype(np.int16)
     else:
         raise ConfigError(f"unknown defect kind {kind!r}")
 
 
+# frame rows per block of gen_sample's noise
+_NOISE_ROWS = 64
+
+
 def gen_sample(cfg: SynthConfig, class_name: str, size: tuple[int, int], seed: int) -> np.ndarray:
-    """Render one uint8 (H, W, 3) image; a pure function of (cfg, class, size, seed)."""
+    """Render one uint8 (H, W, 3) image; a pure function of (cfg, class, size, seed).
+
+    The noise is drawn in blocks of ``_NOISE_ROWS`` rows: ``Generator.normal``
+    gives the same stream in blocks as in one call, so the bytes do not
+    depend on the block height, and the float64 noise of a 2 MP frame
+    (50 MB drawn at once) stays near 2.5 MB.
+    """
     label = cfg.label_of(class_name)
     geo = chip_geometry(size, seed, cfg.density)
     img = _render_base(geo, size)
@@ -321,9 +335,11 @@ def gen_sample(cfg: SynthConfig, class_name: str, size: tuple[int, int], seed: i
         _apply_defect(img, geo, _base_kind(class_name), _style_of(class_name), rng_defect)
     rng_noise = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     if cfg.noise_sigma > 0:
-        noise = rng_noise.normal(0.0, cfg.noise_sigma, size=img.shape)
-        img = img + np.rint(noise).astype(np.int16)
-    return np.clip(img, 0, 255).astype(np.uint8)
+        for r in range(0, img.shape[0], _NOISE_ROWS):
+            block = img[r:r + _NOISE_ROWS]
+            noise = rng_noise.normal(0.0, cfg.noise_sigma, size=block.shape)
+            block += np.rint(noise, out=noise).astype(np.int16)
+    return np.clip(img, 0, 255, out=img).astype(np.uint8)
 
 
 def _item_seed(master: int, index: int) -> int:

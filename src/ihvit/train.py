@@ -326,20 +326,26 @@ def save_arm(arm: Arm, path) -> None:
 
 
 def load_split(manifest: Manifest, base_dir, split: str) -> tuple[np.ndarray, np.ndarray]:
-    """Images (N,S,S,3 u8 with S = IMAGE_SIZE, resized as needed) and labels for one split."""
+    """Images (N,S,S,3 u8 with S = IMAGE_SIZE, resized as needed) and labels for one split.
+
+    The entries are read and fitted into the array through ``util.run_all``,
+    so the threads share them; a failure raises the first error in manifest
+    order.
+    """
     entries = manifest.subset(split)
     if not entries:
         raise InputError(f"manifest has no {split!r} entries")
     imgs = np.empty((len(entries), IMAGE_SIZE, IMAGE_SIZE, 3), dtype=np.uint8)
-    labels = np.empty(len(entries), dtype=np.int64)
     base = Path(base_dir)
-    for i, e in enumerate(entries):
-        px = read_ppm(base / e.path)
+
+    def load(i: int, path: str) -> None:
+        px = read_ppm(base / path)
         if px.shape[:2] != (IMAGE_SIZE, IMAGE_SIZE):
             px = _resize_array(px, IMAGE_SIZE, IMAGE_SIZE)
         imgs[i] = px
-        labels[i] = e.label
-    return imgs, labels
+
+    run_all([partial(load, i, e.path) for i, e in enumerate(entries)])
+    return imgs, np.array([e.label for e in entries], dtype=np.int64)
 
 
 def check_labels(arm: Arm, manifest: Manifest, splits: tuple[str, ...]) -> None:

@@ -215,6 +215,24 @@ class TestAugmentSplit:
         err = capsys.readouterr().err
         assert victim.path in err and "zero image dimension 0x5 (at byte offset 3)" in err
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_two_corrupt_images_name_the_first(self, tmp_path, capsys, monkeypatch, threads):
+        # the split's entries load on shared threads; the error is still the
+        # first in manifest order
+        monkeypatch.setenv("IHVIT_THREADS", threads)
+        out = run_gen(tmp_path, seed=3)
+        assert main(["split", "--manifest", str(out / "manifest.json"), "--seed", "1"]) == 0
+        train = Manifest.load(out / "manifest.json").subset("train")
+        first, second = train[1], train[-1]
+        (out / first.path).write_bytes(b"P6\n96 96\n255\n" + bytes(10))
+        (out / second.path).write_bytes(b"P6\n0 5\n255\n")
+        argv = ["train", "--manifest", str(out / "manifest.json"), "--arm", "ih-vit",
+                "--out", str(tmp_path / "run")] + TINY_MODEL
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert first.path in err and "payload is 10 bytes" in err
+        assert second.path not in err
+
     @pytest.mark.parametrize("cmd", [["train", "--arm", "ih-vit"] + TINY_MODEL, ["augment"],
                                      ["split", "--seed", "1", "--force"]])
     def test_label_disagreeing_with_defect_free_exits_2(self, tmp_path, cmd, capsys,

@@ -1,6 +1,8 @@
 """Resize, augmentation, splitting, manifest, and PPM format contracts."""
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +87,14 @@ class TestResize:
     def test_identity_resize_is_byte_exact(self):
         img = make_image(224, 224)
         assert np.array_equal(_resize_array(img, 224, 224), img)
+
+    @pytest.mark.parametrize("window", [(0, 0, 43, 61), (4, 9, 35, 43), (42, 60, 1, 1)])
+    def test_window_is_a_slice_of_the_whole(self, window):
+        # the scale variants make only the centre window of the enlarged frame
+        px = make_image(37, 53, seed=6)
+        x, y, w, h = window
+        whole = _resize_array(px, 43, 61)
+        assert np.array_equal(_resize_array(px, 43, 61, window=window), whole[y:y + h, x:x + w])
 
     def test_checkerboard_to_center_sample(self):
         # 2x2 board collapsing to 1x1 lands exactly between all four pixels,
@@ -231,6 +241,46 @@ class TestAugmentManifest:
             augment_manifest(manifest, tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == [e.path for e in manifest.entries]
 
+    @pytest.mark.parametrize("threads", ["1", "2", "8"])
+    def test_failure_in_a_later_source_removes_every_variant(self, tmp_path, monkeypatch,
+                                                             threads):
+        # at 8 threads, with a short switch interval, a lost record of a
+        # written file would leave that file behind
+        real = pipeline._apply_variant
+        second = make_image(70, 130, seed=201)
+
+        def failing(img, family, index, seed):
+            if (family, index) == ("rotate", 1) and np.array_equal(img, second):
+                raise OSError("rotate 1 of the second source")
+            return real(img, family, index, seed)
+
+        monkeypatch.setenv("IHVIT_THREADS", threads)
+        monkeypatch.setattr(pipeline, "_apply_variant", failing)
+        manifest = self._mixed_sizes(tmp_path)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.raises(OSError, match="second source"):
+                augment_manifest(manifest, tmp_path)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [e.path for e in manifest.entries]
+
+    def test_holds_one_variant_at_a_time(self, tmp_path, monkeypatch):
+        # the source, its file's bytes, one variant and a resize block: 21 MB
+        # for a 2.2 MP frame; keeping all 14 variants took 98 MB
+        monkeypatch.setenv("IHVIT_THREADS", "1")
+        px = make_image(1276, 1702, seed=9)
+        write_ppm(px, tmp_path / "d.ppm")
+        manifest = Manifest(seed=1, entries=[ManifestEntry("d.ppm", 1, False)])
+        tracemalloc.start()
+        try:
+            augment_manifest(manifest, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * px.nbytes  # 39.1 MB
+
     def test_paper_scale_arithmetic(self):
         # 542 defect originals produce 542 * 14 = 7588 augmented rows
         assert 542 * 14 == 7588
@@ -327,6 +377,37 @@ class TestPPM:
         with pytest.raises(FormatError, match="zero image dimension") as err:
             read_ppm(p)
         assert err.value.offset == offset
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_write_failing_midway_leaves_no_partial_file(self, tmp_path, monkeypatch, existing):
+        from ihvit import util
+        path = tmp_path / "x.ppm"
+        if existing:
+            path.write_bytes(b"old")
+
+        class FullDisk:
+            """A file that takes the header and then runs out of space."""
+
+            def __init__(self, *args):
+                self.f = open(*args)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, chunk):
+                if self.f.tell():
+                    raise OSError("no space left on device")
+                return self.f.write(chunk)
+
+        monkeypatch.setattr(util, "open", FullDisk, raising=False)
+        with pytest.raises(OSError, match="no space"):
+            write_ppm(make_image(16, 8), path)
+        assert [p.name for p in tmp_path.iterdir()] == (["x.ppm"] if existing else [])
+        if existing:
+            assert path.read_bytes() == b"old"
 
     def test_224_file_size(self, tmp_path):
         px = np.zeros((224, 224, 3), dtype=np.uint8)

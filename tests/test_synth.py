@@ -1,5 +1,7 @@
 """Synthetic IC image generator: determinism, defect locality, oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,18 @@ class TestGenSample:
         assert (x1 - x0) * (y1 - y0) < 0.2 * 512 * 480
         img = gen_sample(cfg, "scratch", (512, 480), 5)
         assert img.shape == (480, 512, 3) and img.dtype == np.uint8
+
+    @pytest.mark.parametrize("class_name", ["normal", "glue_blob"])
+    def test_peak_memory_of_a_2mp_frame(self, class_name):
+        # the int16 frame, the uint8 result and one block of noise: 21 MB;
+        # whole-frame noise and a whole-chip blend peaked at 130 MB
+        tracemalloc.start()
+        try:
+            img = gen_sample(SynthConfig(), class_name, (1276, 1702), 11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * img.nbytes  # 32.6 MB
 
     def test_unknown_class_rejected(self):
         with pytest.raises(ConfigError):
