@@ -11,6 +11,7 @@ and a NaN or Inf in the payload is a format error.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -80,7 +81,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
                 f"{path}: tensor {e['name']!r} at offset {e['offset']}, expected {expected}",
                 offset=16 + hlen + expected,
             )
-        sizes.append(4 * int(np.prod(e["shape"], dtype=np.int64)))
+        # Python ints: an int64 product wraps for a large enough shape
+        sizes.append(4 * math.prod(e["shape"]))
         expected += sizes[-1]
 
     payload = data[16 + hlen:]

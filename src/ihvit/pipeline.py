@@ -9,7 +9,7 @@ augmented files are materialized to disk so dataset accounting stays exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
@@ -26,7 +26,9 @@ ROTATIONS = (90, 180)
 SCALE_FACTORS = (1.15, 1.3)
 CROP_COUNT = 4
 CROP_FRACTION_RANGE = (0.7, 0.9)
-TRANSLATE_DIRECTIONS = ("left", "right", "up", "down")
+# each direction's unit step (dx, dy); +y is down
+_TRANSLATE_STEPS = {"left": (-1, 0), "right": (1, 0), "up": (0, -1), "down": (0, 1)}
+TRANSLATE_DIRECTIONS = tuple(_TRANSLATE_STEPS)
 TRANSLATE_FRACTION = 0.1
 
 _FAMILY_IDS = {"flip": 1, "rotate": 2, "scale": 3, "crop": 4, "translate": 5}
@@ -45,13 +47,7 @@ class ManifestEntry:
     origin: str = "original"  # original | augmented:<family>:<index>
 
     def to_json(self) -> dict:
-        return {
-            "path": self.path,
-            "label": self.label,
-            "defect_free": self.defect_free,
-            "split": self.split,
-            "origin": self.origin,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "ManifestEntry":
@@ -289,18 +285,9 @@ def _apply_variant(px: np.ndarray, family: str, index: int, seed: int) -> np.nda
         y0 = int(rng.integers(0, h - ch + 1))
         return _resize_array(px[y0:y0 + ch, x0:x0 + cw], w, h)
     if family == "translate":
-        dx = dy = 0
-        shift_x = max(1, round(w * TRANSLATE_FRACTION))
-        shift_y = max(1, round(h * TRANSLATE_FRACTION))
-        direction = TRANSLATE_DIRECTIONS[index]
-        if direction == "left":
-            dx = -shift_x
-        elif direction == "right":
-            dx = shift_x
-        elif direction == "up":
-            dy = -shift_y
-        else:
-            dy = shift_y
+        step_x, step_y = _TRANSLATE_STEPS[TRANSLATE_DIRECTIONS[index]]
+        dx = step_x * max(1, round(w * TRANSLATE_FRACTION))
+        dy = step_y * max(1, round(h * TRANSLATE_FRACTION))
         out = np.zeros_like(px)
         src_y = slice(max(0, -dy), min(h, h - dy))
         src_x = slice(max(0, -dx), min(w, w - dx))

@@ -26,13 +26,14 @@ import threading
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 _DTYPES = {"f32": np.float32, "f64": np.float64}
 _DTYPE_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# the f64 reference erf; otypes keeps a 0-d or empty input an f64 array
+_erf_f64 = np.vectorize(math.erf, otypes=[np.float64])
 
 # every Tensor's identity on a tape; unlike id(), never reused once the
 # tensor dies, and next() on a count is atomic under the GIL
@@ -435,8 +436,9 @@ _PHI_Z_MAX = 9.0
 def _phi_f32(x: np.ndarray) -> np.ndarray:
     """The standard normal CDF of f32 ``x`` in a few whole-array passes.
 
-    scipy's ``erf`` is a scalar loop; this is 7.1.26 on |x|/sqrt(2), with
-    the tail folded back by sign, so Phi(-x) keeps its own small value."""
+    ``math.erf`` costs one Python call per value; this is 7.1.26 on
+    |x|/sqrt(2), with the tail folded back by sign, so Phi(-x) keeps its
+    own small value."""
     f = x.dtype.type
     z = np.abs(x)
     z *= f(_INV_SQRT2)
@@ -461,12 +463,13 @@ def _phi_f32(x: np.ndarray) -> np.ndarray:
 def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian-CDF form x * Phi(x), not the tanh approximation.
 
-    f64 takes Phi from scipy's ``erf``.  f32 takes it from ``_phi_f32``,
-    whose output is within 5e-7 of the f64 form for |x| <= 10."""
+    f64 takes Phi from ``math.erf``, element by element, so it equals
+    ``0.5 * (1 + math.erf(x / math.sqrt(2)))`` bit for bit.  f32 takes it
+    from ``_phi_f32``, whose output is within 5e-7 of the f64 form for
+    |x| <= 10."""
     x = a.data
     if x.dtype == np.float64:
-        phi_cdf = x * _INV_SQRT2
-        erf(phi_cdf, out=phi_cdf)
+        phi_cdf = _erf_f64(x / math.sqrt(2.0))
         phi_cdf += 1.0
         phi_cdf *= 0.5
     else:

@@ -97,10 +97,6 @@ class ViTConfig:
             if IMAGE_SIZE % ch.patch != 0:
                 raise ConfigError(f"patch size {ch.patch} does not divide image size {IMAGE_SIZE}")
 
-    @property
-    def head_dim(self) -> int:
-        return self.dim // self.heads
-
 
 # ---------------------------------------------------------------------------
 # segmentation

@@ -1,11 +1,16 @@
 """CLI subcommands, exit-code contract, config file handling."""
 
 import json
+import math
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ihvit
 from ihvit.cli import main
 from ihvit.config import apply_override, default_config_dict, load_run_config
 from ihvit.errors import ConfigError
@@ -441,6 +446,22 @@ class TestTrainEval:
                      "--manifest", str(data / "manifest.json")]) == 3
         assert f"tensor '{first['name']}' holds NaN or Inf" in capsys.readouterr().err
 
+    # a shape whose element count overflows int64, with no payload behind it
+    @pytest.mark.parametrize("shape", [[2 ** 32, 2 ** 32], [2 ** 63]])
+    def test_eval_on_checkpoint_with_huge_shape_exits_3(self, trained, tmp_path, capsys,
+                                                        shape):
+        data, run = trained
+        header = checkpoint_header(run)
+        header["tensors"] = [{"name": "w", "shape": shape, "dtype": "f32", "offset": 0}]
+        raw = json.dumps(header).encode()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(b"IHVT" + struct.pack("<IQ", 1, len(raw)) + raw)
+        assert main(["eval", "--checkpoint", str(bad),
+                     "--manifest", str(data / "manifest.json")]) == 3
+        err = capsys.readouterr().err
+        assert f"payload is 0 bytes, expected {4 * math.prod(shape)}" in err
+        assert f"(at byte offset {16 + len(raw)})" in err
+
     @pytest.mark.parametrize("keys, value, message", [
         ((), [], "header is not a JSON object"),
         (("config",), 5, "config is not a JSON object"),
@@ -506,6 +527,16 @@ class TestVerify:
         out = capsys.readouterr().out
         lines = [l for l in out.splitlines() if l.startswith("gradcheck/conv2d")]
         assert lines and "FAIL" in lines[0]
+
+    def test_cli_loads_no_scipy(self):
+        # numpy is the only runtime dependency; a fresh interpreter shows it
+        src = os.path.dirname(os.path.dirname(ihvit.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        code = ("import sys, ihvit.cli, ihvit.verify; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestConfigHandling:

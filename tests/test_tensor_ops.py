@@ -266,10 +266,12 @@ class TestActivations:
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_gelu_matches_erf_form_everywhere(self):
-        xs = np.linspace(-4, 4, 41)
-        got = T.gelu(Tensor(xs, dtype="f64")).data
-        want = np.array([x * 0.5 * (1 + math.erf(x / math.sqrt(2))) for x in xs])
-        assert np.abs(got - want).max() <= 1e-12
+        # bit for bit, 0-d and empty inputs included
+        for xs in (np.linspace(-4, 4, 41), np.array(1.5), np.zeros(0), np.zeros((2, 0))):
+            got = T.gelu(Tensor(xs, dtype="f64")).data
+            want = np.array([x * 0.5 * (1 + math.erf(x / math.sqrt(2))) for x in xs.ravel()])
+            assert got.dtype == np.float64 and got.shape == xs.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_gelu_f32_near_erf_form(self):
         # the f32 kernel approximates Phi; 4*sqrt(2) is where erf(x/sqrt(2)) reaches 1 in f32

@@ -296,7 +296,7 @@ class TestViTConfig:
 
     def test_default_is_dual_conv(self):
         cfg = ViTConfig()
-        assert cfg.dim == 75 and cfg.heads == 3 and cfg.head_dim == 25
+        assert cfg.dim == 75 and cfg.heads == 3
         assert cfg.depth == 6 and cfg.mlp_hidden == 300
         assert [c.embed for c in cfg.channels] == ["convblock", "conv_only"]
 
