@@ -159,9 +159,10 @@ class Tape:
         """Reverse sweep from ``loss``; gradients sum over all paths.
 
         The sweep starts from ``grad``, the gradient of the final objective
-        with respect to ``loss``, or from ones when it is not given.  A
-        loss that feeds a larger objective recorded on another tape takes
-        its ``.grad`` from that tape's backward pass as ``grad`` here.
+        with respect to ``loss``, or from ones when it is not given; without
+        ``grad`` the loss must be a scalar.  A tensor, scalar or not, that
+        feeds a larger objective recorded on another tape takes its
+        ``.grad`` from that tape's backward pass as ``grad`` here.
 
         A node keeps keys, its leaf inputs (see :class:`_Node`) and a closure
         over only the arrays and shapes its backward reads.  The sweep sets
@@ -169,9 +170,10 @@ class Tape:
         frees what the node kept; the tape keeps its length.  Only leaves,
         the tensors this tape did not produce, get ``.grad``.
         """
-        if loss.data.size != 1:
-            raise UsageError(f"backward requires a scalar loss, got shape {loss.shape}")
         if grad is None:
+            if loss.data.size != 1:
+                raise UsageError(f"backward requires a scalar loss or a seed gradient, "
+                                 f"got shape {loss.shape}")
             grad = np.ones_like(loss.data)
         elif np.shape(grad) != loss.shape:
             raise UsageError(f"backward: seed gradient shape {np.shape(grad)} != loss shape "
@@ -440,6 +442,8 @@ def _phi_f32(x: np.ndarray) -> np.ndarray:
     |x|/sqrt(2), with the tail folded back by sign, so Phi(-x) keeps its
     own small value."""
     f = x.dtype.type
+    shape = x.shape
+    x = np.atleast_1d(x)  # a ufunc returns a 0-d result as a scalar, which out= refuses
     z = np.abs(x)
     z *= f(_INV_SQRT2)
     np.minimum(z, f(_PHI_Z_MAX), out=z)
@@ -457,7 +461,7 @@ def _phi_f32(x: np.ndarray) -> np.ndarray:
     np.subtract(f(0.5), tail, out=tail)
     np.copysign(tail, x, out=tail)
     tail += f(0.5)
-    return tail
+    return tail.reshape(shape)
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -477,7 +481,7 @@ def gelu(a: Tensor) -> Tensor:
 
     def bwd(g):
         # g * (Phi(x) + x * pdf(x)), built in one buffer
-        d = np.square(x)
+        d = np.square(x, out=np.empty_like(x))  # an array for a 0-d x too
         d *= -0.5
         np.exp(d, out=d)
         d *= x.dtype.type(_INV_SQRT2PI)

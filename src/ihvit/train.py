@@ -10,7 +10,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
+from functools import partial, reduce
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +191,55 @@ def _logits(branch, images: Tensor) -> Tensor:
     return branch.forward(images)[0]
 
 
+def _on_tape(tape: Tape, call):
+    with tape:
+        return call()
+
+
+def _run_parts(arm: "Arm", images: Tensor):
+    """The arm's logits from parts that record onto tapes of their own, and
+    the call that sweeps those tapes once the logits have their ``.grad``.
+
+    A part is the ResNet branch or one ViT channel; the calls to
+    :func:`run_all` are ``[ch0, ch1, ..., resnet]``, so a worker starts on
+    ch0, the longest, while the caller runs ResNet and then ch1.  The ViT
+    class-token reshape gets a tape of its own, and the head records onto
+    the caller's tape.  As the channels share the class token and the
+    encoder weights, each channel records against stand-ins, which share
+    their arrays; after the sweeps, the stand-ins' gradients are added in
+    the order one tape would add them, so every gradient is the one-tape
+    gradient bit for bit.
+    """
+    vit, resnet = arm.branches.get("vit"), arm.branches.get("resnet")
+    calls = []
+    if vit is not None:
+        with Tape() as cls_tape:
+            cls_row = T.reshape(vit.params["cls"], (1, 1, vit.config.dim))
+        encoder = {k: p for k, p in vit.params.items() if k.startswith("enc")}
+        rows, stand_ins = [], []
+        for i in range(len(vit.config.channels)):
+            rows.append(Tensor._wrap(cls_row.data, True))
+            stand_ins.append({k: Tensor._wrap(p.data, True) for k, p in encoder.items()})
+            calls.append(partial(vit.channel_feature, images, i, rows[i], params=stand_ins[i]))
+    if resnet is not None:
+        calls.append(partial(_logits, resnet, images))
+    tapes = [Tape() for _ in calls]
+    outs = run_all([partial(_on_tape, t, c) for t, c in zip(tapes, calls)])
+    logits = {"resnet": outs[-1]} if resnet is not None else {}
+    if vit is not None:
+        logits["vit"] = vit.head(outs[:len(rows)])[0]
+
+    def backward() -> None:
+        run_all([partial(t.backward, o, o.grad) for t, o in zip(tapes, outs)])
+        if vit is not None:
+            # one tape adds the channels' gradients last channel first: (g2 + g1) + g0
+            for k, p in encoder.items():
+                p.grad = reduce(np.add, [s[k].grad for s in reversed(stand_ins)])
+            cls_tape.backward(cls_row, reduce(np.add, [r.grad for r in reversed(rows)]))
+
+    return {k: logits[k] for k in arm.branches}, backward
+
+
 @dataclass
 class Arm:
     name: str
@@ -205,31 +254,29 @@ class Arm:
     def parameters(self) -> dict[str, Tensor]:
         return {f"{k}.{n}": t for k, b in self.branches.items() for n, t in b.params.items()}
 
-    def branch_logits(self, images: Tensor, tapes: list[Tape] | None = None) -> dict[str, Tensor]:
+    def branch_logits(self, images: Tensor, sweep: list | None = None) -> dict[str, Tensor]:
         """Logits per branch.
 
-        With ``tapes``, branch *k* records onto ``tapes[k]`` and the
-        branches run concurrently (see :func:`run_all`: the ResNet branch on
-        a worker thread, the ViT branch, the longer one, on the calling
-        thread).  Under a caller's tape they record onto it; as one tape
-        takes nodes from one thread only, they then run one after the other.
-        With no tape at all, each branch runs on chunks of ``_FORWARD_CHUNK``
+        With ``sweep``, a list, the ResNet branch and each ViT channel
+        record onto a tape of their own and run concurrently (see
+        :func:`_run_parts`), and the ViT head records onto the caller's
+        tape.  ``sweep`` receives the call that carries the gradients of
+        the caller's tape's backward pass on through the part tapes; make
+        it after that pass.  Under a caller's tape and without ``sweep``,
+        the branches record onto that tape, one after the other.  With no
+        tape at all, each branch runs on chunks of ``_FORWARD_CHUNK``
         images, each (branch, chunk) forward one call to :func:`run_all`:
         the ViT chunks first and the shorter ResNet chunks last, so the
         threads stay busy to the end.  The chunks are the same for every
         thread count, and so are the logits.
         """
         branches = self.branches
-        if tapes is not None:
-            if len(tapes) != len(branches):
-                raise UsageError(f"branch_logits: {len(branches)} branches but {len(tapes)} tapes")
-
-            def forward(branch, tape):
-                with tape:
-                    return _logits(branch, images)
-
-            logits = run_all([partial(forward, b, t) for b, t in zip(branches.values(), tapes)])
-            return dict(zip(branches, logits))
+        if sweep is not None:
+            if T._current_tape() is None:
+                raise UsageError("branch_logits: a sweep needs a caller's tape")
+            logits, backward = _run_parts(self, images)
+            sweep.append(backward)
+            return logits
         if T._current_tape() is not None:
             return {k: _logits(b, images) for k, b in branches.items()}
         chunks = [images[i:i + _FORWARD_CHUNK] for i in range(0, images.shape[0], _FORWARD_CHUNK)]
@@ -455,22 +502,20 @@ def evaluate(arm: Arm, imgs: np.ndarray, labels: np.ndarray,
 def _forward_backward(arm: Arm, x: Tensor, y: np.ndarray, weights: list[float]) -> float:
     """One step's combined loss; leaves the gradients in the parameters' .grad.
 
-    Each branch records onto a tape of its own, so the branches' forward and
-    backward passes can run concurrently.  The combined loss gets a small
-    tape too, whose backward pass seeds each branch loss's .grad: the branch
-    losses are leaves of that tape.  Each tape holds only the arrays its
-    backward pass reads, and frees them as its sweep passes their nodes.
+    The ResNet branch and each ViT channel record onto a tape of their own,
+    so their forward and backward passes run concurrently (see
+    :meth:`Arm.branch_logits`).  The ViT head, the branch losses and the
+    combined loss record onto this step's tape, whose backward pass seeds
+    the part tapes.  Each tape holds only the arrays its backward pass
+    reads, and frees them as its sweep passes their nodes.
     """
-    tapes = [Tape() for _ in weights]
-    logits = arm.branch_logits(x, tapes)
-    losses = []
-    for tape, l in zip(tapes, logits.values()):
-        with tape:
-            losses.append(cross_entropy(l, y))
-    with Tape() as fuse_tape:
-        loss = combined_loss(losses, weights)
-    fuse_tape.backward(loss)
-    run_all([partial(tape.backward, l, l.grad) for tape, l in zip(tapes, losses)])
+    sweep = []
+    with Tape() as tape:
+        logits = arm.branch_logits(x, sweep)
+        loss = combined_loss([cross_entropy(l, y) for l in logits.values()], weights)
+    tape.backward(loss)
+    for backward in sweep:
+        backward()
     return loss.item()
 
 

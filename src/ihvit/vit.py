@@ -263,29 +263,41 @@ class ViTBranch:
         unified = unify(raw, self.params[f"ch{index}.unify"])
         return reshape(unified, (bsz, n, cfg.dim))
 
-    def forward(self, images: Tensor) -> tuple[Tensor, Tensor]:
-        """[B,3,S,S] -> (logits [B,K], features [B,dim])."""
+    def channel_feature(self, images: Tensor, index: int, cls_row: Tensor, *,
+                        params: dict | None = None) -> Tensor:
+        """Channel ``index``'s class-token output, [B,3,S,S] -> [B, dim].
+
+        ``cls_row`` is the [1, 1, dim] class token, and ``params`` the
+        encoder weights, the branch's own unless given: every channel reads
+        both.
+        """
         cfg = self.config
         if images.ndim != 4 or images.shape[1:] != (3, IMAGE_SIZE, IMAGE_SIZE):
             raise ShapeError(
                 f"vit forward: expected [B,3,{IMAGE_SIZE},{IMAGE_SIZE}], got {images.shape}"
             )
         bsz = images.shape[0]
-        cls_row = reshape(self.params["cls"], (1, 1, cfg.dim))
-        outs = []
-        for i in range(len(cfg.channels)):
-            tokens = self.embed_channel(images, i)
-            seq = concat([broadcast_to(cls_row, (bsz, 1, cfg.dim)), tokens], axis=1)
-            seq = add(seq, self.params[f"ch{i}.pos"])
-            encoded = _encode(seq, self.params, cfg)
-            outs.append(encoded[:, 0, :])
-        feats = outs[0]
-        for o in outs[1:]:
-            feats = add(feats, o)
-        if len(outs) > 1:
-            feats = scale(feats, 1.0 / len(outs))
-        logits = add(matmul(feats, self.params["head.w"]), self.params["head.b"])
-        return logits, feats
+        tokens = self.embed_channel(images, index)
+        seq = concat([broadcast_to(cls_row, (bsz, 1, cfg.dim)), tokens], axis=1)
+        seq = add(seq, self.params[f"ch{index}.pos"])
+        return _encode(seq, self.params if params is None else params, cfg)[:, 0, :]
+
+    def head(self, feats: list[Tensor]) -> tuple[Tensor, Tensor]:
+        """Channel outputs -> (logits [B,K], features [B,dim]), the features
+        being the outputs' mean."""
+        out = feats[0]
+        for o in feats[1:]:
+            out = add(out, o)
+        if len(feats) > 1:
+            out = scale(out, 1.0 / len(feats))
+        logits = add(matmul(out, self.params["head.w"]), self.params["head.b"])
+        return logits, out
+
+    def forward(self, images: Tensor) -> tuple[Tensor, Tensor]:
+        """[B,3,S,S] -> (logits [B,K], features [B,dim])."""
+        cls_row = reshape(self.params["cls"], (1, 1, self.config.dim))
+        return self.head([self.channel_feature(images, i, cls_row)
+                          for i in range(len(self.config.channels))])
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,29 @@ class TestTape:
         inner_tape.backward(inner, inner.grad)
         assert w.grad.tobytes() == want.tobytes()
 
+    def test_seeded_non_scalar_loss_matches_one_tape(self):
+        # a non-scalar tensor swept from the gradient another tape gave it
+        rng = np.random.default_rng(5)
+        w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        x = Tensor(rng.normal(size=(4, 3)))
+        with Tape() as whole:
+            loss = T.cross_entropy(T.matmul(x, w), [0, 1, 1, 0])
+        whole.backward(loss)
+        want = w.grad
+        w.grad = None
+        with Tape() as inner_tape:
+            logits = T.matmul(x, w)
+        with Tape() as outer_tape:
+            loss = T.cross_entropy(logits, [0, 1, 1, 0])
+        outer_tape.backward(loss)
+        assert logits.grad.shape == (4, 2)
+        inner_tape.backward(logits, logits.grad)
+        assert w.grad.tobytes() == want.tobytes()
+        with Tape() as tape:
+            logits = T.matmul(x, w)
+        with pytest.raises(UsageError, match="scalar"):
+            tape.backward(logits)
+
     def test_seed_shape_must_match_loss(self):
         x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
         with Tape() as tape:

@@ -282,6 +282,21 @@ class TestActivations:
         want = np.array([x * 0.5 * (1 + math.erf(x / math.sqrt(2))) for x in xs.tolist()])
         assert np.abs(got - want).max() <= 1e-6
 
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_gelu_on_0d_and_empty_inputs(self, dtype):
+        # bitwise in f64; f32 within 5e-7, as on the kernel's range
+        for xs in (np.array(1.5), np.array(-0.7), np.zeros(0), np.zeros((2, 0))):
+            got = T.gelu(Tensor(xs, dtype=dtype)).data
+            want = np.array([x * 0.5 * (1 + math.erf(x / math.sqrt(2))) for x in
+                             xs.astype(got.dtype).ravel().tolist()]).reshape(xs.shape)
+            assert got.shape == xs.shape
+            if dtype == "f64":
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert got.dtype == np.float32 and np.all(np.abs(got - want) <= 5e-7)
+        assert T.grad_check(T.gelu, Tensor(np.array(0.8), dtype=dtype)) <= (
+            1e-5 if dtype == "f64" else 1e-3)
+
     def test_gelu_zero_f32_bit_exact(self):
         out = T.gelu(Tensor(np.zeros(4, dtype=np.float32))).data
         assert out.dtype == np.float32 and out.tobytes() == np.zeros(4, np.float32).tobytes()

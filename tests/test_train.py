@@ -15,7 +15,7 @@ from ihvit.errors import ConfigError, FormatError, InputError
 from ihvit.pipeline import balance_and_split
 from ihvit.resnet import ResNetConfig
 from ihvit.synth import SynthConfig, gen_dataset
-from ihvit.tensor import NumericsError, Tape, Tensor, UsageError, softmax
+from ihvit.tensor import NumericsError, Tape, Tensor, UsageError, cross_entropy, softmax
 from ihvit.train import (
     ARM_DISPLAY,
     ARM_ORDER,
@@ -26,6 +26,7 @@ from ihvit.train import (
     MetricsReport,
     TrainConfig,
     _batch_tensor,
+    _forward_backward,
     ablate,
     arm_from_checkpoint,
     build_arm,
@@ -346,7 +347,6 @@ class TestTrain:
         root, manifest = tiny_dataset
         train_x, train_y = load_split(manifest, root, "train")
         arm = build_arm("ih-vit", TINY_VIT, TINY_RESNET, seed=1)
-        from ihvit.tensor import cross_entropy
         x = _batch_tensor(train_x[:4])
         logits = arm.branch_logits(x)
         losses = [cross_entropy(l, train_y[:4]) for l in logits.values()]
@@ -387,18 +387,48 @@ class TestTrain:
         assert r1.identity_json() == r2.identity_json()
 
     def test_results_do_not_depend_on_thread_count(self, tiny_dataset, monkeypatch):
-        # IHVIT_THREADS=2 runs the two branches concurrently, =1 one after the other
+        # IHVIT_THREADS of 2 or more runs the ResNet branch and the ViT
+        # channels concurrently, 1 one after the other
         root, manifest = tiny_dataset
         test_x, _ = load_split(manifest, root, "test")
         x = _batch_tensor(test_x[:4])
         runs = []
-        for threads in ("1", "2"):
+        for threads in ("1", "2", "3"):
             monkeypatch.setenv("IHVIT_THREADS", threads)
             arm = build_arm("ih-vit", TINY_VIT, TINY_RESNET, seed=8)
             report = train(arm, manifest, root, TrainConfig(epochs=1, batch_size=8, seed=8))
             params = {k: t.data.tobytes() for k, t in arm.parameters().items()}
             runs.append((report.loss_curve, params, arm.predict_probs(x).tobytes()))
-        assert runs[0] == runs[1]
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("name,vit_cfg", [
+        ("ih-vit", TINY_VIT),
+        ("vit-2ch", TINY_VIT),
+        # three channels: the stand-ins' gradients add up as (g2 + g1) + g0
+        ("ih-vit", replace(TINY_VIT, channels=({"patch": 16, "embed": "convblock"},
+                                               {"patch": 32, "embed": "conv_only"},
+                                               {"patch": 56, "embed": "linear"}))),
+    ], ids=["ih-vit", "vit-2ch", "ih-vit-3ch"])
+    def test_part_tapes_match_one_tape(self, name, vit_cfg, monkeypatch):
+        # the step's part tapes give the loss and every gradient of one tape bit for bit
+        x = _batch_tensor(np.random.default_rng(3).integers(0, 256, (3, 224, 224, 3),
+                                                            dtype=np.uint8))
+        y = np.array([0, 5, 2])
+        arm = build_arm(name, vit_cfg, TINY_RESNET, seed=3)
+        params = arm.parameters()
+        with Tape() as tape:
+            logits = arm.branch_logits(x)
+            loss = combined_loss([cross_entropy(l, y) for l in logits.values()],
+                                 arm.branch_weights())
+        tape.backward(loss)
+        want = {k: t.grad.tobytes() for k, t in params.items()}
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("IHVIT_THREADS", threads)
+            for t in params.values():
+                t.grad = None
+            got = _forward_backward(arm, x, y, arm.branch_weights())
+            assert got == loss.item(), threads
+            assert {k: t.grad.tobytes() for k, t in params.items()} == want, threads
 
     def test_chunked_forward_does_not_depend_on_thread_count(self, monkeypatch):
         # the tape-free forward runs 4-image chunks of each branch as separate calls
@@ -419,35 +449,36 @@ class TestTrain:
                 np.testing.assert_allclose(logits[name].data, whole, rtol=0, atol=1e-6)
 
     def test_taped_forward_live_set(self):
-        # what both branch tapes keep after a B=2 desk forward: 71.3 MB while
-        # conv2d kept its im2col columns, relu its input and maxpool2d a
-        # padded copy; 36.7 MB since they keep only arrays alive anyway
+        # what the part tapes and the caller's tape keep after a B=2 desk
+        # forward: 71.3 MB while conv2d kept its im2col columns, relu its
+        # input and maxpool2d a padded copy; 36.7 MB since they keep only
+        # arrays alive anyway
         arm = build_arm("ih-vit", ViTConfig(classes=6), ResNetConfig.desk(classes=6), seed=0)
         x = _batch_tensor(np.random.default_rng(0).integers(0, 256, (2, 224, 224, 3),
                                                             dtype=np.uint8))
-        tapes = [Tape(), Tape()]
+        sweep = []
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            logits = arm.branch_logits(x, tapes)
+            with Tape() as tape:
+                logits = arm.branch_logits(x, sweep)
             live = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        assert all(len(t) for t in tapes)
+        assert len(tape) == 4 and len(sweep) == 1  # the ViT head: add, scale, matmul, add
         assert [l.shape for l in logits.values()] == [(2, 6), (2, 6)]
         assert live < 54 << 20
 
-    def test_branch_tapes_must_match_branches(self):
+    def test_sweep_needs_a_tape(self):
         arm = build_arm("ih-vit", TINY_VIT, TINY_RESNET, seed=0)
         x = Tensor(np.zeros((1, 3, 224, 224), dtype=np.float32))
-        with pytest.raises(UsageError, match="2 branches but 1 tapes"):
-            arm.branch_logits(x, [Tape()])
+        with pytest.raises(UsageError, match="sweep needs a caller's tape"):
+            arm.branch_logits(x, [])
 
     def test_gradients_flow_to_both_branches(self, tiny_dataset):
         root, manifest = tiny_dataset
         train_x, train_y = load_split(manifest, root, "train")
         arm = build_arm("ih-vit", TINY_VIT, TINY_RESNET, seed=5)
-        from ihvit.tensor import cross_entropy
         x = _batch_tensor(train_x[:4])
         with Tape() as tape:
             logits = arm.branch_logits(x)
