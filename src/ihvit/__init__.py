@@ -2,13 +2,51 @@
 
 import ctypes
 import os
+import sys
+
+# OpenBLAS's own setter of its thread count: numpy's wheels rename it (a
+# scipy_ prefix since numpy 2, a 64_ suffix for 64-bit-integer builds), and
+# system builds keep the plain name
+_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                     "openblas_set_num_threads")
+# numpy's core extension (numpy 2, then 1), which links the BLAS
+_NUMPY_CORE = ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath")
+
+
+def _pin_openblas(environ=os.environ, modules=sys.modules) -> bool:
+    """Set the OpenBLAS that an imported numpy loaded to one thread through
+    its setter; False, with nothing changed, when ``environ`` sets
+    OPENBLAS_NUM_THREADS, numpy's core is not in ``modules``, or its BLAS
+    exports none of ``_OPENBLAS_SETTERS``."""
+    core = next((modules[name] for name in _NUMPY_CORE if name in modules), None)
+    if "OPENBLAS_NUM_THREADS" in environ or core is None:
+        return False
+    try:
+        # already loaded, so this only adds a reference; a symbol lookup on
+        # the handle searches the libraries the extension links too
+        lib = ctypes.CDLL(core.__file__)
+    except (AttributeError, OSError):
+        return False
+    for name in _OPENBLAS_SETTERS:
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            setter.argtypes = (ctypes.c_int,)
+            setter.restype = None
+            setter(1)
+            return True
+    return False
+
 
 # Concurrency comes from IHVIT_THREADS: threads that share the model's calls
 # (the ResNet branch and each ViT channel in a training step, one per branch
 # and 4-image chunk in a forward without a tape) and the generated images.
 # BLAS threads on top would compete for the same cores, and results would
 # depend on the BLAS thread count.  A value set in the environment still
-# wins; it only takes effect before numpy is first imported.
+# wins.  OpenBLAS reads the variable once, when numpy loads it, so when
+# numpy came first the count is set through OpenBLAS's setter instead; this
+# check comes before the defaults below, so that it sees only the user's
+# OPENBLAS_NUM_THREADS.
+_pin_openblas()
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 del _var

@@ -9,6 +9,7 @@ statistics over spatial dims) so batches of 1 remain valid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -113,13 +114,22 @@ class ResNetBranch:
             sc = x
         return relu(add(y, sc))
 
-    def forward(self, images: Tensor) -> tuple[Tensor, Tensor]:
-        """[B,3,H,W] -> (logits [B,K], features [B, final width])."""
+    def stem(self, images: Tensor) -> Tensor:
+        """The first layer, conv -> norm -> relu; the max-pool follows it."""
+        x = conv2d(images, self.params["stem.conv.w"], stride=2, pad=3)
+        return relu(self._norm(x, "stem.norm"))
+
+    def forward(self, images: Tensor, first=None) -> tuple[Tensor, Tensor]:
+        """[B,3,H,W] -> (logits [B,K], features [B, final width]).
+
+        ``first``, if given, runs the stem: it is called with the stem's
+        zero-argument call and returns its output (``train._run_parts``
+        records the stem onto a tape of its own this way).
+        """
         if images.ndim != 4 or images.shape[1] != 3:
             raise ShapeError(f"resnet forward: expected [B,3,H,W], got {images.shape}")
-        x = conv2d(images, self.params["stem.conv.w"], stride=2, pad=3)
-        x = relu(self._norm(x, "stem.norm"))
-        x = maxpool2d(x, 3, 2, 1)
+        stem = partial(self.stem, images)
+        x = maxpool2d(stem() if first is None else first(stem), 3, 2, 1)
         for s, blocks in enumerate(self.config.stage_blocks):
             for b in range(blocks):
                 x = self.bottleneck_forward(x, s, b)

@@ -439,8 +439,11 @@ def _phi_f32(x: np.ndarray) -> np.ndarray:
     """The standard normal CDF of f32 ``x`` in a few whole-array passes.
 
     ``math.erf`` costs one Python call per value; this is 7.1.26 on
-    |x|/sqrt(2), with the tail folded back by sign, so Phi(-x) keeps its
-    own small value."""
+    |x|/sqrt(2), with the tail Phi(-|x|) folded back by sign.  The contract
+    is absolute: within 5e-7 of the f64 form on [-10, 10].  Small values
+    are not kept relatively: ``0.5 - tail + 0.5`` rounds the tail to a
+    multiple of about 3e-8, so Phi(-5) comes out 2.98e-7 (true 2.87e-7)
+    and Phi(-6) 0.0 (true 9.9e-10)."""
     f = x.dtype.type
     shape = x.shape
     x = np.atleast_1d(x)  # a ufunc returns a 0-d result as a scalar, which out= refuses

@@ -187,13 +187,28 @@ class Adam:
 # arms
 
 
-def _logits(branch, images: Tensor) -> Tensor:
-    return branch.forward(images)[0]
+def _logits(branch, images: Tensor, **kw) -> Tensor:
+    return branch.forward(images, **kw)[0]
 
 
 def _on_tape(tape: Tape, call):
     with tape:
         return call()
+
+
+class _FirstLayer:
+    """A part's first layer on a tape of its own.  Passed as a branch's
+    ``first``, it records the layer onto that tape; :meth:`backward` sweeps
+    it from the gradient the part's tape left on the layer's output."""
+
+    def __call__(self, layer):
+        with Tape() as self.tape:
+            self.out = layer()
+        return self.out
+
+    def backward(self) -> None:
+        out, self.out = self.out, None
+        self.tape.backward(out, out.grad)
 
 
 def _run_parts(arm: "Arm", images: Tensor):
@@ -202,13 +217,18 @@ def _run_parts(arm: "Arm", images: Tensor):
 
     A part is the ResNet branch or one ViT channel; the calls to
     :func:`run_all` are ``[ch0, ch1, ..., resnet]``, so a worker starts on
-    ch0, the longest, while the caller runs ResNet and then ch1.  The ViT
-    class-token reshape gets a tape of its own, and the head records onto
-    the caller's tape.  As the channels share the class token and the
-    encoder weights, each channel records against stand-ins, which share
-    their arrays; after the sweeps, the stand-ins' gradients are added in
-    the order one tape would add them, so every gradient is the one-tape
-    gradient bit for bit.
+    ch0, the longest, while the caller runs ResNet and then ch1.  Each
+    part's first layer, the ResNet stem up to its max-pool or a channel's
+    embedding, records onto one more tape (see :class:`_FirstLayer`).  It
+    reads only the images, so nothing but the optimizer waits on its
+    sweep: in the backward each is the follow-up of its part's sweep, which
+    whichever thread is free takes once no part's sweep is left to start.
+    The ViT class-token reshape gets a tape of its own, and the head
+    records onto the caller's tape.  As the channels share the class token
+    and the encoder weights, each channel records against stand-ins, which
+    share their arrays; after the sweeps, the stand-ins' gradients are
+    added in the order one tape would add them, so every gradient is the
+    one-tape gradient bit for bit.
     """
     vit, resnet = arm.branches.get("vit"), arm.branches.get("resnet")
     calls = []
@@ -224,13 +244,16 @@ def _run_parts(arm: "Arm", images: Tensor):
     if resnet is not None:
         calls.append(partial(_logits, resnet, images))
     tapes = [Tape() for _ in calls]
-    outs = run_all([partial(_on_tape, t, c) for t, c in zip(tapes, calls)])
+    firsts = [_FirstLayer() for _ in calls]
+    outs = run_all([partial(_on_tape, t, partial(c, first=f))
+                    for t, c, f in zip(tapes, calls, firsts)])
     logits = {"resnet": outs[-1]} if resnet is not None else {}
     if vit is not None:
         logits["vit"] = vit.head(outs[:len(rows)])[0]
 
     def backward() -> None:
-        run_all([partial(t.backward, o, o.grad) for t, o in zip(tapes, outs)])
+        run_all([partial(t.backward, o, o.grad) for t, o in zip(tapes, outs)],
+                then=[f.backward for f in firsts])
         if vit is not None:
             # one tape adds the channels' gradients last channel first: (g2 + g1) + g0
             for k, p in encoder.items():
@@ -258,11 +281,12 @@ class Arm:
         """Logits per branch.
 
         With ``sweep``, a list, the ResNet branch and each ViT channel
-        record onto a tape of their own and run concurrently (see
-        :func:`_run_parts`), and the ViT head records onto the caller's
-        tape.  ``sweep`` receives the call that carries the gradients of
-        the caller's tape's backward pass on through the part tapes; make
-        it after that pass.  Under a caller's tape and without ``sweep``,
+        record onto a tape of their own and run concurrently, each with its
+        first layer on one more tape (see :func:`_run_parts`), and the ViT
+        head records onto the caller's tape.  ``sweep`` receives the call
+        that carries the gradients of the caller's tape's backward pass on
+        through the part tapes and then their first-layer tapes; make it
+        after that pass.  Under a caller's tape and without ``sweep``,
         the branches record onto that tape, one after the other.  With no
         tape at all, each branch runs on chunks of ``_FORWARD_CHUNK``
         images, each (branch, chunk) forward one call to :func:`run_all`:

@@ -7,6 +7,7 @@ import operator
 import os
 import threading
 import uuid
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, field, fields
 from functools import partial
@@ -32,26 +33,39 @@ def worker_count() -> int:
     return n
 
 
-def run_all(calls: Sequence[Callable[[], R]]) -> list[R]:
+def run_all(calls: Sequence[Callable[[], R]],
+            then: Sequence[Callable[[], object] | None] | None = None) -> list[R]:
     """Call each of ``calls`` and return their results in order.
 
-    With ``worker_count() > 1`` the threads share the work: the calling
-    thread runs the last call first while up to ``worker_count() - 1``
+    ``then``, if given, holds a follow-up call (or None) per call:
+    ``then[i]`` runs once ``calls[i]`` has returned, and its result is
+    dropped.  With ``worker_count() > 1`` the threads share the work: the
+    calling thread runs the last call first while up to ``worker_count() - 1``
     workers start on the others in order, and then every thread, the caller
-    included, takes the next call that has not started.  So of two calls the
+    included, takes the next call that has not started or, when none is
+    left, the first follow-up whose call has returned (calls first, as each
+    may bring a follow-up of its own).  So of two calls the
     first runs on a worker and the last on the caller, and with more, short
-    calls placed last keep the tail short.  Every call runs, even after one
-    has failed, and then the first exception in call order is re-raised.
-    With one thread the calls run in order and the first exception stops
-    them.
+    calls placed last keep the tail short.  Every call and follow-up runs,
+    even after one has failed, except the follow-up of a failed call; then
+    the first exception in call order is re-raised.  With one thread each
+    call runs in order, followed by its follow-up, and the first exception
+    stops them.
     """
     calls = list(calls)
+    then = [None] * len(calls) if then is None else list(then)
     workers = min(worker_count(), len(calls)) - 1
     if workers < 1:
-        return [call() for call in calls]
+        results = []
+        for call, follow in zip(calls, then):
+            results.append(call())
+            if follow is not None:
+                follow()
+        return results
     results: list = [None] * len(calls)
     errors: list[BaseException | None] = [None] * len(calls)
     pending = iter(range(len(calls) - 1))
+    ready: deque[int] = deque()  # calls returned whose follow-up has not started
     lock = threading.Lock()
 
     def run(i: int) -> None:
@@ -59,14 +73,28 @@ def run_all(calls: Sequence[Callable[[], R]]) -> list[R]:
             results[i] = calls[i]()
         except BaseException as e:  # re-raised once every call has run
             errors[i] = e
+        else:
+            if then[i] is not None:
+                with lock:
+                    ready.append(i)
+
+    def follow(i: int) -> None:
+        try:
+            then[i]()
+        except BaseException as e:
+            errors[i] = e
 
     def share() -> None:
         while True:
             with lock:
                 i = next(pending, None)
-            if i is None:
+                j = ready.popleft() if i is None and ready else None
+            if i is not None:
+                run(i)
+            elif j is not None:
+                follow(j)
+            else:
                 return
-            run(i)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for _ in range(workers):

@@ -11,6 +11,7 @@ Per-channel class-token outputs are averaged into the branch feature.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -264,12 +265,14 @@ class ViTBranch:
         return reshape(unified, (bsz, n, cfg.dim))
 
     def channel_feature(self, images: Tensor, index: int, cls_row: Tensor, *,
-                        params: dict | None = None) -> Tensor:
+                        params: dict | None = None, first=None) -> Tensor:
         """Channel ``index``'s class-token output, [B,3,S,S] -> [B, dim].
 
         ``cls_row`` is the [1, 1, dim] class token, and ``params`` the
         encoder weights, the branch's own unless given: every channel reads
-        both.
+        both.  ``first``, if given, runs the channel's first layer,
+        :meth:`embed_channel`: it is called with that zero-argument call and
+        returns its output, as in :meth:`ResNetBranch.forward`.
         """
         cfg = self.config
         if images.ndim != 4 or images.shape[1:] != (3, IMAGE_SIZE, IMAGE_SIZE):
@@ -277,7 +280,8 @@ class ViTBranch:
                 f"vit forward: expected [B,3,{IMAGE_SIZE},{IMAGE_SIZE}], got {images.shape}"
             )
         bsz = images.shape[0]
-        tokens = self.embed_channel(images, index)
+        embed = partial(self.embed_channel, images, index)
+        tokens = embed() if first is None else first(embed)
         seq = concat([broadcast_to(cls_row, (bsz, 1, cfg.dim)), tokens], axis=1)
         seq = add(seq, self.params[f"ch{index}.pos"])
         return _encode(seq, self.params if params is None else params, cfg)[:, 0, :]

@@ -5,6 +5,8 @@ CLI maps to its documented exit codes: ``FormatError`` (3) or
 ``InputError`` (2).  Anything else would end a command in a traceback.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,11 +65,14 @@ def test_damaged_file_raises_only_documented_errors(tmp_path, fmt):
     good = tmp_path / "good"
     write(good)
     read(good)
-    bad = tmp_path / "bad"
+    # a fresh file per example: rewriting one file in place costs the
+    # filesystem far more than the readers take
+    names = itertools.count()
 
     @settings(max_examples=300, deadline=None)
     @given(damaged(good.read_bytes()))
     def check(blob):
+        bad = tmp_path / f"bad{next(names)}"
         bad.write_bytes(blob)
         try:
             read(bad)

@@ -282,6 +282,13 @@ class TestActivations:
         want = np.array([x * 0.5 * (1 + math.erf(x / math.sqrt(2))) for x in xs.tolist()])
         assert np.abs(got - want).max() <= 1e-6
 
+    def test_phi_f32_within_its_absolute_bound(self):
+        # the contract is absolute: small tail values round to multiples of ~3e-8
+        xs = np.linspace(-10, 10, 40001).astype(np.float32)
+        got = T._phi_f32(xs)
+        want = np.array([0.5 * (1 + math.erf(x / math.sqrt(2))) for x in xs.tolist()])
+        assert got.dtype == np.float32 and np.abs(got - want).max() <= 5e-7
+
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
     def test_gelu_on_0d_and_empty_inputs(self, dtype):
         # bitwise in f64; f32 within 5e-7, as on the kernel's range

@@ -4,12 +4,14 @@ import json
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ihvit import util
 from ihvit.checkpoint import load_checkpoint, save_checkpoint
 from ihvit.errors import ConfigError, FormatError, InputError
 from ihvit.pipeline import balance_and_split
@@ -408,9 +410,13 @@ class TestTrain:
         ("ih-vit", replace(TINY_VIT, channels=({"patch": 16, "embed": "convblock"},
                                                {"patch": 32, "embed": "conv_only"},
                                                {"patch": 56, "embed": "linear"}))),
-    ], ids=["ih-vit", "vit-2ch", "ih-vit-3ch"])
+        # one part and its first layer's follow-up
+        ("resnet", TINY_VIT),
+        ("vit", TINY_VIT),
+    ], ids=["ih-vit", "vit-2ch", "ih-vit-3ch", "resnet", "vit"])
     def test_part_tapes_match_one_tape(self, name, vit_cfg, monkeypatch):
-        # the step's part tapes give the loss and every gradient of one tape bit for bit
+        # the step's part tapes and their first-layer tapes give the loss and
+        # every gradient of one tape bit for bit
         x = _batch_tensor(np.random.default_rng(3).integers(0, 256, (3, 224, 224, 3),
                                                             dtype=np.uint8))
         y = np.array([0, 5, 2])
@@ -468,6 +474,35 @@ class TestTrain:
         assert len(tape) == 4 and len(sweep) == 1  # the ViT head: add, scale, matmul, add
         assert [l.shape for l in logits.values()] == [(2, 6), (2, 6)]
         assert live < 54 << 20
+
+    def test_first_layers_sweep_as_follow_ups(self, monkeypatch):
+        # the backward hands run_all one follow-up per part, and each one
+        # gives the gradients of its part's first layer: the stem or an embedding
+        import ihvit.train as train_mod
+
+        monkeypatch.setenv("IHVIT_THREADS", "1")
+        arm = build_arm("ih-vit", TINY_VIT, TINY_RESNET, seed=2)
+        params = arm.parameters()
+        swept = []
+
+        def watched(follow_up):
+            before = {k for k, t in params.items() if t.grad is not None}
+            follow_up()
+            swept.append({k for k, t in params.items() if t.grad is not None} - before)
+
+        def run_all(calls, then=None):
+            if then is not None:
+                then = [partial(watched, f) for f in then]
+            return util.run_all(calls, then)
+
+        monkeypatch.setattr(train_mod, "run_all", run_all)
+        x = Tensor(np.zeros((2, 3, 224, 224), dtype=np.float32))
+        _forward_backward(arm, x, np.array([1, 4]), arm.branch_weights())
+        assert swept == [
+            {"vit.ch0.conv.w", "vit.ch0.conv.b", "vit.ch0.unify"},
+            {"vit.ch1.conv.w", "vit.ch1.conv.b", "vit.ch1.unify"},
+            {"resnet.stem.conv.w", "resnet.stem.norm.g", "resnet.stem.norm.b"},
+        ]
 
     def test_sweep_needs_a_tape(self):
         arm = build_arm("ih-vit", TINY_VIT, TINY_RESNET, seed=0)

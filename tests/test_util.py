@@ -1,11 +1,12 @@
-"""run_all: the thread budget, work sharing, result order and error propagation;
-write_atomic: a failed write leaves the old file; check_fields: each config
-field's declared domain."""
+"""run_all: the thread budget, work sharing, follow-up calls, result order and
+error propagation; write_atomic: a failed write leaves the old file;
+check_fields: each config field's declared domain."""
 
 import re
 import threading
 import time
 from dataclasses import fields
+from functools import partial
 
 import pytest
 
@@ -82,6 +83,85 @@ def test_middle_error_is_raised_after_every_call_runs(monkeypatch):
     with pytest.raises(ValueError, match="call 2 failed"):
         run_all([lambda i=i: call(i) for i in range(5)])
     assert sorted(done) == [0, 1, 3, 4]
+
+
+def test_follow_ups_run_in_a_fixed_order_under_one_thread(monkeypatch):
+    monkeypatch.setenv("IHVIT_THREADS", "1")
+    order = []
+    calls = [lambda i=i: order.append(f"call {i}") or i for i in range(3)]
+    then = [lambda: order.append("then 0"), None, lambda: order.append("then 2")]
+    assert run_all(calls, then) == [0, 1, 2]
+    assert order == ["call 0", "then 0", "call 1", "call 2", "then 2"]
+
+
+def test_free_thread_takes_a_follow_up_once_no_call_is_left(monkeypatch):
+    # the worker runs call 0 and then call 1; the caller, done with call 2,
+    # takes call 0's follow-up while the worker is still busy
+    monkeypatch.setenv("IHVIT_THREADS", "2")
+    threads = {}
+
+    def step(name, seconds):
+        time.sleep(seconds)
+        threads[name] = threading.get_ident()
+
+    calls = [partial(step, "call 0", 0.0), partial(step, "call 1", 0.4),
+             partial(step, "call 2", 0.2)]
+    then = [partial(step, f"then {i}", 0.0) for i in range(3)]
+    run_all(calls, then)
+    caller = threading.get_ident()
+    assert threads["call 0"] == threads["call 1"] != caller
+    assert threads["call 2"] == threads["then 0"] == threads["then 2"] == caller
+    assert threads["then 1"] == threads["call 1"]
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_follow_ups_wait_for_their_calls(monkeypatch, threads):
+    monkeypatch.setenv("IHVIT_THREADS", threads)
+    done = set()
+
+    def call(i):
+        time.sleep(0.01 * (i % 3))
+        done.add(i)
+
+    def follow_up(i):
+        if i not in done:
+            raise AssertionError(f"follow-up {i} ran before its call")
+        done.add(-1 - i)
+
+    run_all([partial(call, i) for i in range(5)], [partial(follow_up, i) for i in range(5)])
+    assert done == set(range(-5, 5))
+
+
+def test_failed_call_skips_only_its_follow_up(monkeypatch):
+    monkeypatch.setenv("IHVIT_THREADS", "2")
+    done = []
+
+    def call(i):
+        time.sleep(0.01)
+        if i in (1, 3):
+            raise ValueError(f"call {i} failed")
+        done.append(f"call {i}")
+
+    def follow_up(i):
+        if i == 2:
+            raise ValueError("follow-up 2 failed")
+        done.append(f"then {i}")
+
+    # the first error in call order: call 1's, though follow-up 2 may fail first
+    with pytest.raises(ValueError, match="call 1 failed"):
+        run_all([partial(call, i) for i in range(5)], [partial(follow_up, i) for i in range(5)])
+    assert sorted(done) == ["call 0", "call 2", "call 4", "then 0", "then 4"]
+
+
+def test_follow_up_error_ranks_with_its_call(monkeypatch):
+    monkeypatch.setenv("IHVIT_THREADS", "2")
+
+    def fail(what):
+        raise ValueError(what)
+
+    calls = [lambda: None, partial(fail, "call 1 failed")]
+    with pytest.raises(ValueError, match="follow-up 0 failed"):
+        run_all(calls, [partial(fail, "follow-up 0 failed"), None])
 
 
 def test_write_atomic_replaces_the_file(tmp_path):
