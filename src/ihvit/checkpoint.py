@@ -4,8 +4,9 @@ Layout: magic ``IHVT`` | format version u32 LE | header length u64 LE |
 JSON header ``{config, tensors: [{name, shape, dtype, offset}]}`` |
 payload of concatenated raw little-endian IEEE-754 f32 values.
 Offsets are payload-relative, and each tensor starts where the one
-before it ends; a load of a save reproduces bit-identical parameters,
-and a NaN or Inf in the payload is a format error.
+before it ends; a load of a save reproduces bit-identical parameters.
+A NaN or Inf in the payload, a name listed twice and a dtype other than
+``"f32"`` are format errors.
 """
 
 from __future__ import annotations
@@ -74,8 +75,15 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
 
     expected = 0
     sizes = []
+    names = set()
     for e in entries:
         _check_entry(path, e)
+        if e["name"] in names:
+            raise FormatError(f"{path}: tensor {e['name']!r} is listed twice", offset=16)
+        names.add(e["name"])
+        if e.get("dtype") != "f32":
+            raise FormatError(f"{path}: tensor {e['name']!r} has dtype {e.get('dtype')!r}; "
+                              f"the payload is f32-only", offset=16)
         if e["offset"] != expected:
             raise FormatError(
                 f"{path}: tensor {e['name']!r} at offset {e['offset']}, expected {expected}",

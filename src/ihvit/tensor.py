@@ -9,13 +9,16 @@ global graph.  A tape is created per training step::
         loss = cross_entropy(matmul(x, w), labels)
     tape.backward(loss)      # populates .grad on the leaves the loss reaches
 
-Every forward output is checked for NaN/Inf through its minimum and
-maximum, which a NaN turns into NaN and an infinity into +-Inf; a
-non-finite value aborts the step with a diagnostic naming the operation.
+Every forward output is checked for NaN/Inf: a contiguous one through
+its sum of squares, and any whose sum is not finite, or that is strided,
+through its minimum and maximum, which a NaN turns into NaN and an
+infinity into +-Inf; a non-finite value aborts the step with a
+diagnostic naming the operation.
 
 A tape keeps only what its backward pass reads and frees it as the pass
-goes.  ``.grad`` goes onto the tape's leaves only, the tensors it did not
-produce (parameters, inputs); intermediates get none.
+goes: a taped GELU, for one, keeps its derivative, not its input and
+Phi(input).  ``.grad`` goes onto the tape's leaves only, the tensors it
+did not produce (parameters, inputs); intermediates get none.
 """
 
 from __future__ import annotations
@@ -223,9 +226,14 @@ def _current_tape() -> Tape | None:
 
 
 def _ensure_finite(op: str, arr: np.ndarray) -> None:
-    # allocation-free probe: min and max propagate NaN, and an infinity is
-    # one of them; unlike a sum, neither can overflow on finite data
-    if arr.size == 0 or (math.isfinite(arr.min()) and math.isfinite(arr.max())):
+    # allocation-free probes.  A sum of squares is finite unless an element
+    # is not or the sum overflows; one BLAS pass (vdot, which unlike dot
+    # does not warn on overflow) clears a contiguous array.  Otherwise min
+    # and max decide: they propagate NaN, an infinity is one of them, and
+    # neither can overflow on finite data
+    if arr.size == 0 or (arr.flags.c_contiguous and math.isfinite(np.vdot(arr, arr))):
+        return
+    if math.isfinite(arr.min()) and math.isfinite(arr.max()):
         return
     finite = np.isfinite(arr)
     n_bad = int(arr.size - finite.sum())
@@ -467,33 +475,53 @@ def _phi_f32(x: np.ndarray) -> np.ndarray:
     return tail.reshape(shape)
 
 
+# gelu makes its passes over blocks of this many bytes of input, which stay
+# in cache from one pass to the next
+_GELU_BLOCK_BYTES = 256 << 10
+
+
 def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian-CDF form x * Phi(x), not the tanh approximation.
 
     f64 takes Phi from ``math.erf``, element by element, so it equals
     ``0.5 * (1 + math.erf(x / math.sqrt(2)))`` bit for bit.  f32 takes it
     from ``_phi_f32``, whose output is within 5e-7 of the f64 form for
-    |x| <= 10."""
+    |x| <= 10.
+
+    A tape that records the op keeps one input-sized array, the derivative
+    ``Phi(x) + x * pdf(x)``, built in the forward; the backward multiplies
+    it by the incoming gradient.  Without a tape nothing more than the
+    output is computed.  Every pass is elementwise, so the blocks of
+    ``_GELU_BLOCK_BYTES`` change no bit of either."""
     x = a.data
-    if x.dtype == np.float64:
-        phi_cdf = _erf_f64(x / math.sqrt(2.0))
-        phi_cdf += 1.0
-        phi_cdf *= 0.5
-    else:
-        phi_cdf = _phi_f32(x)
+    flat = np.ascontiguousarray(x).reshape(-1)  # a 0-d x gives one element
+    out = np.empty_like(flat)
+    d = np.empty_like(flat) if a.requires_grad and _current_tape() is not None else None
+    step = _GELU_BLOCK_BYTES // flat.itemsize
+    for i in range(0, flat.size, step):
+        xb = flat[i:i + step]
+        if xb.dtype == np.float64:
+            phi_cdf = _erf_f64(xb / math.sqrt(2.0))
+            phi_cdf += 1.0
+            phi_cdf *= 0.5
+        else:
+            phi_cdf = _phi_f32(xb)
+        np.multiply(xb, phi_cdf, out=out[i:i + step])
+        if d is not None:
+            db = np.square(xb, out=d[i:i + step])
+            db *= -0.5
+            np.exp(db, out=db)
+            db *= xb.dtype.type(_INV_SQRT2PI)
+            db *= xb
+            db += phi_cdf
+    if d is not None:
+        d = d.reshape(x.shape)
 
     def bwd(g):
-        # g * (Phi(x) + x * pdf(x)), built in one buffer
-        d = np.square(x, out=np.empty_like(x))  # an array for a 0-d x too
-        d *= -0.5
-        np.exp(d, out=d)
-        d *= x.dtype.type(_INV_SQRT2PI)
-        d *= x
-        d += phi_cdf
-        d *= g
-        return (d,)
+        # a tape runs a node's backward once, so d can take the product in place
+        return (np.multiply(d, g, out=d),)
 
-    return _apply("gelu", x * phi_cdf, (a,), bwd)
+    return _apply("gelu", out.reshape(x.shape), (a,), bwd)
 
 
 def _shifted_exp(z: np.ndarray, axis: int):
@@ -689,7 +717,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
             xwin = _windows("conv2d", xd, kh, kw, stride, pad)
             gw = np.zeros_like(wmat)
             for b0 in chunks:
-                gw += (g3[b0:b0 + step] @ cols(xwin, b0).swapaxes(1, 2)).sum(axis=0)
+                # [K, O] per image, which BLAS builds faster than [O, K]
+                gw += (cols(xwin, b0) @ g3[b0:b0 + step].swapaxes(1, 2)).sum(axis=0).T
             gw = gw.reshape(o, c, kh, kw)
         if nx:
             gx = np.empty((n, c, h, wd), dtype=g.dtype)

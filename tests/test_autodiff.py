@@ -245,6 +245,73 @@ class TestTapeMemory:
         tape.backward(loss)
         assert np.array_equal(x.grad, np.where(x.data > 0, 2, 0).astype(np.float32))
 
+    def test_gelu_keeps_its_derivative_alone(self):
+        # a taped gelu keeps Phi(x) + x * pdf(x), not x and Phi(x)
+        x = Tensor(np.linspace(-4, 4, self.N, dtype=np.float32), requires_grad=True)
+        size = x.data.nbytes
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                h = T.scale(x, 1.0)
+                loss = T.sum_(T.gelu(h))
+            del h
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert size <= held < 1.5 * size
+        tape.backward(loss)
+        assert np.array_equal(x.grad > 0, x.data > -0.75179)  # the derivative's one root
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_gelu_gradient_bytes_match_the_backward_formula(self, dtype):
+        # the derivative's passes, in the order the backward once ran them,
+        # over the whole input; gelu makes them block by block
+        rng = np.random.default_rng(12)
+        xs = rng.normal(0, 3, (3, 66671)).astype(T._DTYPES[dtype])
+        assert xs.nbytes > 2 * T._GELU_BLOCK_BYTES
+        gs = rng.normal(size=xs.shape).astype(xs.dtype)
+        if dtype == "f64":
+            phi = T._erf_f64(xs / np.sqrt(2.0))
+            phi += 1.0
+            phi *= 0.5
+        else:
+            phi = T._phi_f32(xs)
+        want = np.square(xs)
+        want *= -0.5
+        np.exp(want, out=want)
+        want *= xs.dtype.type(T._INV_SQRT2PI)
+        want *= xs
+        want += phi
+        want *= gs
+        x = Tensor(xs, requires_grad=True)
+        with Tape() as tape:
+            y = T.gelu(x)
+            loss = T.sum_(T.mul(y, Tensor(gs)))
+        tape.backward(loss)
+        assert y.data.tobytes() == (xs * phi).tobytes()
+        assert x.grad.dtype == xs.dtype and x.grad.tobytes() == want.tobytes()
+
+    def test_tape_free_gelu_keeps_nothing(self):
+        # no tape, or an input that needs no gradient: only the output is left
+        for requires_grad, taped in ((True, False), (False, True)):
+            x = Tensor(np.linspace(-4, 4, self.N, dtype=np.float32),
+                       requires_grad=requires_grad)
+            tape = Tape()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                if taped:
+                    with tape:
+                        y = T.gelu(x)
+                else:
+                    y = T.gelu(x)
+                held = tracemalloc.get_traced_memory()[0] - base
+            finally:
+                tracemalloc.stop()
+            assert len(tape) == 0
+            assert y.data.nbytes <= held < 1.1 * y.data.nbytes
+
     def test_maxpool_keeps_no_padded_copy(self):
         # the stem's 3x3 stride-2 pad-1 pool: a padded copy is 1.06x the input
         x = Tensor(np.random.default_rng(4).permutation(2 * 4 * 64 * 64)

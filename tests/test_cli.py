@@ -425,6 +425,33 @@ class TestTrainEval:
                      "--manifest", str(data / "manifest.json")]) == 3
         assert "malformed tensor entry" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dtype", ["f64", None])
+    def test_eval_on_checkpoint_entry_not_f32_exits_3(self, trained, tmp_path, capsys, dtype):
+        data, run = trained
+        header = checkpoint_header(run)
+        entry = header["tensors"][1]
+        if dtype is None:
+            del entry["dtype"]
+        else:
+            entry["dtype"] = dtype
+        bad = with_header(run, tmp_path, header)
+        assert main(["eval", "--checkpoint", str(bad),
+                     "--manifest", str(data / "manifest.json")]) == 3
+        assert (f"tensor {entry['name']!r} has dtype {dtype!r}; the payload is f32-only"
+                in capsys.readouterr().err)
+
+    def test_eval_on_checkpoint_listing_a_name_twice_exits_3(self, trained, tmp_path, capsys):
+        # the second entry would overwrite the first: a format fault, not a layout one
+        data, run = trained
+        header = checkpoint_header(run)
+        entries = header["tensors"]
+        name = entries[1]["name"]
+        entries[2]["name"] = name
+        bad = with_header(run, tmp_path, header)
+        assert main(["eval", "--checkpoint", str(bad),
+                     "--manifest", str(data / "manifest.json")]) == 3
+        assert f"tensor {name!r} is listed twice" in capsys.readouterr().err
+
     def test_eval_on_checkpoint_with_unknown_vit_key_exits_3(self, trained, tmp_path, capsys):
         data, run = trained
         header = checkpoint_header(run)

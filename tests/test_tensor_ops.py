@@ -478,6 +478,23 @@ class TestTensorBasics:
         with pytest.raises(NumericsError, match=r"scale: 1 non-finite value"):
             T.scale(Tensor._wrap(x, False), 2.0)
 
+    @pytest.mark.parametrize("value, dtype", [(1e20, np.float32), (-3e19, np.float32),
+                                              (1e200, np.float64)])
+    def test_finite_values_whose_squares_overflow_pass(self, value, dtype):
+        # the sum of squares overflows; min and max then clear the output
+        x = np.full((8, 100), value, dtype=dtype)
+        for arr in (x, x[:, ::3], x.T):
+            T._ensure_finite("scale", arr)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_bad_value_in_strided_view_names_op(self, bad):
+        # contiguous or not, one bad value is found and counted
+        x = np.ones((64, 100), dtype=np.float32)
+        x[7, 42] = bad
+        for arr in (x, x[:, ::2], x.T, x[3:40, 10:50]):
+            with pytest.raises(NumericsError, match=r"relu: 1 non-finite value"):
+                T._ensure_finite("relu", arr)
+
     def test_mixed_dtypes_rejected(self):
         with pytest.raises(UsageError, match="mixed"):
             T.add(Tensor(np.zeros(2, dtype=np.float32)), Tensor(np.zeros(2, dtype=np.float64)))
