@@ -129,11 +129,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", help="JSON run-config file")
-            p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                           help="override a config value (e.g. train.epochs=5)")
+    def common(p):
+        p.add_argument("--config", help="JSON run-config file")
+        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                       help="override a config value (e.g. train.epochs=5)")
         p.add_argument("--seed", type=int, help="master seed for all randomness")
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")

@@ -581,7 +581,7 @@ def _normalize(op: str, x: Tensor, gamma: Tensor, beta: Tensor, eps: float,
         else:
             gc, scale = g * g_, inv
             gxh *= g_
-        gx = xhat * gxh.mean(axis=axes, keepdims=True)
+        gx = np.multiply(xhat, gxh.mean(axis=axes, keepdims=True), out=gxh)  # unread after its mean
         np.subtract(gc, gx, out=gx)
         gx -= gc.mean(axis=axes, keepdims=True)
         gx *= scale

@@ -516,9 +516,7 @@ def evaluate(arm: Arm, imgs: np.ndarray, labels: np.ndarray,
     for i in range(0, len(imgs), batch_size):
         x = _batch_tensor(imgs[i:i + batch_size])
         probs = arm.predict_probs(x)
-        preds = np.argmax(probs, axis=-1)
-        for t, p in zip(labels[i:i + batch_size], preds):
-            confusion[t, p] += 1
+        np.add.at(confusion, (labels[i:i + batch_size], np.argmax(probs, axis=-1)), 1)
     accuracy = float(np.trace(confusion) / confusion.sum())
     return accuracy, confusion
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-import threading
 import uuid
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -39,34 +38,26 @@ def run_all(calls: Sequence[Callable[[], R]],
 
     ``then``, if given, holds a follow-up call (or None) per call:
     ``then[i]`` runs once ``calls[i]`` has returned, and its result is
-    dropped.  With ``worker_count() > 1`` the threads share the work: the
-    calling thread runs the last call first while up to ``worker_count() - 1``
-    workers start on the others in order, and then every thread, the caller
-    included, takes the next call that has not started or, when none is
-    left, the first follow-up whose call has returned (calls first, as each
-    may bring a follow-up of its own).  So of two calls the
-    first runs on a worker and the last on the caller, and with more, short
-    calls placed last keep the tail short.  Every call and follow-up runs,
-    even after one has failed, except the follow-up of a failed call; then
-    the first exception in call order is re-raised.  With one thread each
-    call runs in order, followed by its follow-up, and the first exception
-    stops them.
+    dropped.  The work sits on one queue, which starts with every call but
+    the last; a call that returns puts its follow-up at the back.  The
+    calling thread runs the last call first while up to
+    ``worker_count() - 1`` workers start on the queue, and then every
+    thread, the caller included, takes the task at its front: the next
+    call that has not started or, once none is left, the first follow-up
+    whose call has returned.  So of two calls the first runs on a worker
+    and the last on the caller, and with more, short calls placed last
+    keep the tail short.  With one thread the caller runs the same
+    schedule alone.  Every call and follow-up runs, even after one has
+    failed, except the follow-up of a failed call; then the first
+    exception in call order is re-raised.
     """
     calls = list(calls)
+    threads = min(worker_count(), len(calls))
+    if not calls:
+        return []
     then = [None] * len(calls) if then is None else list(then)
-    workers = min(worker_count(), len(calls)) - 1
-    if workers < 1:
-        results = []
-        for call, follow in zip(calls, then):
-            results.append(call())
-            if follow is not None:
-                follow()
-        return results
     results: list = [None] * len(calls)
     errors: list[BaseException | None] = [None] * len(calls)
-    pending = iter(range(len(calls) - 1))
-    ready: deque[int] = deque()  # calls returned whose follow-up has not started
-    lock = threading.Lock()
 
     def run(i: int) -> None:
         try:
@@ -75,8 +66,7 @@ def run_all(calls: Sequence[Callable[[], R]],
             errors[i] = e
         else:
             if then[i] is not None:
-                with lock:
-                    ready.append(i)
+                tasks.append(partial(follow, i))
 
     def follow(i: int) -> None:
         try:
@@ -84,20 +74,19 @@ def run_all(calls: Sequence[Callable[[], R]],
         except BaseException as e:
             errors[i] = e
 
+    # a deque's append and popleft are atomic, so the threads share it unlocked
+    tasks = deque(partial(run, i) for i in range(len(calls) - 1))
+
     def share() -> None:
         while True:
-            with lock:
-                i = next(pending, None)
-                j = ready.popleft() if i is None and ready else None
-            if i is not None:
-                run(i)
-            elif j is not None:
-                follow(j)
-            else:
+            try:
+                task = tasks.popleft()
+            except IndexError:
                 return
+            task()
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for _ in range(workers):
+    with ThreadPoolExecutor(max_workers=threads) as pool:  # >= 1; only submits start workers
+        for _ in range(threads - 1):
             pool.submit(share)
         run(len(calls) - 1)
         share()

@@ -499,9 +499,9 @@ class TestTrain:
         x = Tensor(np.zeros((2, 3, 224, 224), dtype=np.float32))
         _forward_backward(arm, x, np.array([1, 4]), arm.branch_weights())
         assert swept == [
+            {"resnet.stem.conv.w", "resnet.stem.norm.g", "resnet.stem.norm.b"},
             {"vit.ch0.conv.w", "vit.ch0.conv.b", "vit.ch0.unify"},
             {"vit.ch1.conv.w", "vit.ch1.conv.b", "vit.ch1.unify"},
-            {"resnet.stem.conv.w", "resnet.stem.norm.g", "resnet.stem.norm.b"},
         ]
 
     def test_sweep_needs_a_tape(self):

@@ -3,6 +3,7 @@ error propagation; write_atomic: a failed write leaves the old file;
 check_fields: each config field's declared domain."""
 
 import re
+import sys
 import threading
 import time
 from dataclasses import fields
@@ -26,6 +27,13 @@ def _thread():
 def test_serial_under_one_thread(monkeypatch):
     monkeypatch.setenv("IHVIT_THREADS", "1")
     assert run_all([_thread, _thread, _thread]) == [threading.get_ident()] * 3
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_no_calls_give_no_results(monkeypatch, threads):
+    monkeypatch.setenv("IHVIT_THREADS", threads)
+    assert run_all([]) == []
+    assert run_all([], []) == []
 
 
 def test_last_call_stays_on_the_calling_thread(monkeypatch):
@@ -70,8 +78,9 @@ def test_caller_takes_calls_left_after_the_last(monkeypatch):
     assert 4 in on_caller and len(on_caller) >= 2
 
 
-def test_middle_error_is_raised_after_every_call_runs(monkeypatch):
-    monkeypatch.setenv("IHVIT_THREADS", "2")
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_middle_error_is_raised_after_every_call_runs(monkeypatch, threads):
+    monkeypatch.setenv("IHVIT_THREADS", threads)
     done = []
 
     def call(i):
@@ -91,7 +100,7 @@ def test_follow_ups_run_in_a_fixed_order_under_one_thread(monkeypatch):
     calls = [lambda i=i: order.append(f"call {i}") or i for i in range(3)]
     then = [lambda: order.append("then 0"), None, lambda: order.append("then 2")]
     assert run_all(calls, then) == [0, 1, 2]
-    assert order == ["call 0", "then 0", "call 1", "call 2", "then 2"]
+    assert order == ["call 2", "call 0", "call 1", "then 2", "then 0"]
 
 
 def test_free_thread_takes_a_follow_up_once_no_call_is_left(monkeypatch):
@@ -132,8 +141,31 @@ def test_follow_ups_wait_for_their_calls(monkeypatch, threads):
     assert done == set(range(-5, 5))
 
 
-def test_failed_call_skips_only_its_follow_up(monkeypatch):
-    monkeypatch.setenv("IHVIT_THREADS", "2")
+def test_every_call_and_follow_up_runs_once_under_contention(monkeypatch):
+    # more threads than cores and a short switch interval, so the threads
+    # interleave on the shared queue; a lost or doubled task shows in the counts
+    monkeypatch.setenv("IHVIT_THREADS", "4")
+    counts = [0] * 400
+    lock = threading.Lock()
+
+    def count(i):
+        with lock:
+            counts[i] += 1
+        return i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = run_all([partial(count, i) for i in range(200)],
+                          [partial(count, 200 + i) for i in range(200)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == list(range(200)) and counts == [1] * 400
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_failed_call_skips_only_its_follow_up(monkeypatch, threads):
+    monkeypatch.setenv("IHVIT_THREADS", threads)
     done = []
 
     def call(i):
