@@ -195,8 +195,10 @@ def read_ppm(path) -> np.ndarray:
 # resizing
 
 
-# output rows per block of _resize_array
-_RESIZE_ROWS = 64
+# float64 bytes per row array of a _resize_array block: a block makes
+# _RESIZE_BYTES // (max(w, tw) * 3 * 8) output rows.  Picked by a sweep of
+# augment and load at 2 threads; 256 KiB blocks were faster at 1 thread only
+_RESIZE_BYTES = 1 << 20
 
 
 def _resize_array(pixels: np.ndarray, tw: int, th: int,
@@ -206,13 +208,17 @@ def _resize_array(pixels: np.ndarray, tw: int, th: int,
     Each output byte is ``rint(top*(1-fy) + bottom*fy)`` clipped to [0, 255],
     where ``top`` and ``bottom`` are ``a*(1-fx) + b*fx`` over the two nearest
     pixels of a source row, all in float64.  The output is made in blocks of
-    ``_RESIZE_ROWS`` rows: a block takes the distinct source rows it reads,
-    still uint8, lerps each of them along x once, then gathers the top and
-    bottom rows for the lerp along y.  Every byte goes through the same
-    operations in the same order whatever the block height, so the result is
-    byte-identical to a whole-image computation, while a block's temporaries
-    stay near 2.5 MB (whole-image float64 copies of a 2-3 MP frame take
-    50-90 MB).  ``pixels`` may be any (H, W, 3) uint8 view.
+    ``_RESIZE_BYTES // (max(w, tw) * 3 * 8)`` rows (at least one).  A block
+    casts the distinct source rows it reads to float64 once (only their
+    gathered taps, when those are fewer bytes: a downscale to under half the
+    width), gathers both x taps of each output byte by byte index and lerps
+    them in place with per-byte weights, then gathers the top and bottom rows
+    for the lerp along y.  Every byte goes through the same operations in the
+    same order whatever the block height, so the result is byte-identical to
+    a whole-image computation.  Each float64 temporary of a block (its rows,
+    the two taps, top, bottom) takes about ``_RESIZE_BYTES``, six at most at
+    once; whole-image float64 copies of a 2-3 MP frame take 50-90 MB.
+    ``pixels`` may be any (H, W, 3) uint8 view.
 
     ``window = (x, y, ww, wh)`` makes only that window of the ``tw`` x
     ``th`` output: the same sample positions and arithmetic, so the bytes
@@ -231,25 +237,34 @@ def _resize_array(pixels: np.ndarray, tw: int, th: int,
     y0 = np.clip(np.floor(ys), 0, h - 1).astype(np.int64)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    fx = np.clip(xs - x0, 0.0, 1.0)[None, :, None]
-    fy = np.clip(ys - y0, 0.0, 1.0)[:, None, None]
-    gx, gy = 1 - fx, 1 - fy
+    fx = np.clip(xs - x0, 0.0, 1.0)
+    fy = np.clip(ys - y0, 0.0, 1.0)[:, None]
+    gy = 1 - fy
+    # per output byte: the byte index of its two x taps in a source row, and their weights
+    b0, b1 = ((x[:, None] * 3 + np.arange(3)).ravel() for x in (x0, x1))
+    gx, fx = np.repeat(1 - fx, 3), np.repeat(fx, 3)
 
-    out = np.empty((th, tw, 3), dtype=np.uint8)
-    for r in range(0, th, _RESIZE_ROWS):
-        rows = slice(r, r + _RESIZE_ROWS)
+    out = np.empty((th, tw * 3), dtype=np.uint8)
+    step = max(1, _RESIZE_BYTES // (max(w, tw) * 3 * 8))
+    for r in range(0, th, step):
+        rows = slice(r, r + step)
         n = len(y0[rows])
         src_rows, at = np.unique(np.concatenate([y0[rows], y1[rows]]), return_inverse=True)
-        src = pixels[src_rows]
-        lerped = np.take(src, x0, axis=1) * gx
-        lerped += np.take(src, x1, axis=1) * fx
+        src = pixels[src_rows].reshape(len(src_rows), w * 3)
+        if w < 2 * tw:  # the rows hold fewer bytes to cast than their two taps
+            src = src.astype(np.float64)
+        lerped = np.take(src, b0, axis=1).astype(np.float64, copy=False)
+        lerped *= gx
+        right = np.take(src, b1, axis=1).astype(np.float64, copy=False)
+        right *= fx
+        lerped += right
         block = lerped[at[:n]]
         block *= gy[rows]
         bottom = lerped[at[n:]]
         bottom *= fy[rows]
         block += bottom
         out[rows] = np.rint(block, out=block).clip(0, 255, out=block)
-    return out
+    return out.reshape(th, tw, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,12 @@ R = TypeVar("R")
 
 
 def worker_count() -> int:
-    """Worker parallelism cap: IHVIT_THREADS if set, else logical cores."""
+    """Worker parallelism cap: IHVIT_THREADS if set, else the cores this
+    process may run on (its affinity set where the platform has one)."""
     raw = os.environ.get("IHVIT_THREADS")
     if raw is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         n = int(raw)

@@ -3,6 +3,7 @@
 import math
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -52,11 +53,51 @@ def bilinear_oracle(pixels, tw, th):
     return out
 
 
+# a source this wide makes _resize_array's blocks 32 output rows high:
+# _RESIZE_BYTES // (max(w, tw) * 3 * 8) rows
+WIDE = pipeline._RESIZE_BYTES // (32 * 3 * 8)
+
+
+@st.composite
+def resize_cases(draw):
+    """A source view, a target size, an optional window of it, and a block
+    height: None for the default budget, else 1-3 output rows."""
+    w, h = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    tw, th = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    view = draw(st.sampled_from(["contiguous", "rot90", "negative strides"]))
+    if view == "contiguous":
+        px = make_image(w, h, seed)
+    elif view == "rot90":
+        px = np.rot90(make_image(h, w, seed))
+    else:
+        px = make_image(2 * w, h, seed)[::-1, ::-2]
+    window = None
+    if draw(st.booleans()):
+        x, y = draw(st.integers(0, tw - 1)), draw(st.integers(0, th - 1))
+        window = (x, y, draw(st.integers(1, tw - x)), draw(st.integers(1, th - y)))
+    return px, tw, th, window, draw(st.sampled_from([None, 1, 2, 3]))
+
+
 class TestResize:
+    @given(resize_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_any_view_window_and_block_height_matches_oracle(self, case):
+        # blocks of 1-3 rows put block edges between many output rows' top
+        # and bottom source rows
+        px, tw, th, window, block_rows = case
+        x, y, ww, wh = window or (0, 0, tw, th)
+        budget = pipeline._RESIZE_BYTES
+        if block_rows is not None:
+            budget = block_rows * max(px.shape[1], ww) * 3 * 8
+        with mock.patch.object(pipeline, "_RESIZE_BYTES", budget):
+            out = _resize_array(px, tw, th, window=window)
+        assert np.array_equal(out, bilinear_oracle(px, tw, th)[y:y + wh, x:x + ww])
+
     @pytest.mark.parametrize("src_hw, target_wh", [
-        # output heights around the 64-row block edge, up and down
-        ((50, 9), (7, 1)), ((50, 9), (7, 63)), ((50, 9), (7, 64)),
-        ((50, 9), (11, 65)), ((200, 9), (5, 129)), ((129, 3), (4, 64)),
+        # output heights around a block edge, up and down
+        ((50, WIDE), (7, 1)), ((50, WIDE), (7, 31)), ((50, WIDE), (7, 32)),
+        ((50, WIDE), (11, 33)), ((200, WIDE), (5, 65)), ((65, WIDE), (4, 32)),
         # the scale variants' 1.15x and 1.3x upscales
         ((53, 37), (43, 61)), ((70, 45), (59, 91)),
         # load_split's downscale
@@ -95,6 +136,26 @@ class TestResize:
         x, y, w, h = window
         whole = _resize_array(px, 43, 61)
         assert np.array_equal(_resize_array(px, 43, 61, window=window), whole[y:y + h, x:x + w])
+
+    @pytest.mark.parametrize("scale", [None, *pipeline.SCALE_FACTORS])
+    def test_block_temporaries_stay_within_a_few_budgets(self, scale):
+        # load_split's largest downscale (1276x1702 to 224x224) and the scale
+        # variants of that frame; a block holds its float64 source rows, their
+        # two x taps and its top and bottom rows, about one budget each, and
+        # the next block's rows are made before the last block's are freed
+        w, h = 1276, 1702
+        px = make_image(w, h, seed=9)
+        target, window = (224, 224), None
+        if scale is not None:
+            target = round(w * scale), round(h * scale)
+            window = ((target[0] - w) // 2, (target[1] - h) // 2, w, h)
+        tracemalloc.start()
+        try:
+            out = _resize_array(px, *target, window=window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 7 * pipeline._RESIZE_BYTES
 
     def test_checkerboard_to_center_sample(self):
         # 2x2 board collapsing to 1x1 lands exactly between all four pixels,
@@ -204,9 +265,10 @@ class TestAugmentManifest:
         assert kept.stat().st_mtime_ns == stamp
 
     def _mixed_sizes(self, tmp_path):
-        # output heights on both sides of _resize_array's 64-row blocks
+        # the 1400-px-wide frame's 45 output rows take two of
+        # _resize_array's blocks (31 rows at _RESIZE_BYTES // (1400 * 3 * 8))
         entries = []
-        for i, (w, h) in enumerate([(24, 24), (70, 130), (97, 64), (40, 2)]):
+        for i, (w, h) in enumerate([(24, 24), (70, 130), (1400, 45), (40, 2)]):
             write_ppm(make_image(w, h, seed=200 + i), tmp_path / f"d{i}.ppm")
             entries.append(ManifestEntry(path=f"d{i}.ppm", label=1 + i, defect_free=False))
         return Manifest(seed=3, entries=entries)
@@ -267,8 +329,9 @@ class TestAugmentManifest:
         assert sorted(p.name for p in tmp_path.iterdir()) == [e.path for e in manifest.entries]
 
     def test_holds_one_variant_at_a_time(self, tmp_path, monkeypatch):
-        # the source, its file's bytes, one variant and a resize block: 21 MB
-        # for a 2.2 MP frame; keeping all 14 variants took 98 MB
+        # the source, its file's bytes, one variant and a resize block's
+        # temporaries (about 6 MB at the 1 MiB budget): 19 MB for a 2.2 MP
+        # frame; keeping all 14 variants took 98 MB
         monkeypatch.setenv("IHVIT_THREADS", "1")
         px = make_image(1276, 1702, seed=9)
         write_ppm(px, tmp_path / "d.ppm")

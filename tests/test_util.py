@@ -1,6 +1,6 @@
-"""run_all: the thread budget, work sharing, follow-up calls, result order and
-error propagation; write_atomic: a failed write leaves the old file;
-check_fields: each config field's declared domain."""
+"""worker_count: the default thread budget; run_all: work sharing, follow-up
+calls, result order and error propagation; write_atomic: a failed write leaves
+the old file; check_fields: each config field's declared domain."""
 
 import re
 import sys
@@ -11,12 +11,13 @@ from functools import partial
 
 import pytest
 
+from ihvit import util
 from ihvit.config import RunConfig
 from ihvit.errors import ConfigError
 from ihvit.resnet import ResNetConfig
 from ihvit.synth import SynthConfig
 from ihvit.train import FusionWeights, TrainConfig
-from ihvit.util import run_all, write_atomic
+from ihvit.util import run_all, worker_count, write_atomic
 from ihvit.vit import ChannelSpec, ViTConfig
 
 
@@ -194,6 +195,18 @@ def test_follow_up_error_ranks_with_its_call(monkeypatch):
     calls = [lambda: None, partial(fail, "call 1 failed")]
     with pytest.raises(ValueError, match="follow-up 0 failed"):
         run_all(calls, [partial(fail, "follow-up 0 failed"), None])
+
+
+def test_default_thread_budget_is_the_usable_cores(monkeypatch):
+    # a 64-core host that lets this process run on two of them
+    monkeypatch.delenv("IHVIT_THREADS", raising=False)
+    monkeypatch.setattr(util.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(util.os, "sched_getaffinity", lambda pid: {3, 5}, raising=False)
+    assert worker_count() == 2
+    monkeypatch.delattr(util.os, "sched_getaffinity")
+    assert worker_count() == 64
+    monkeypatch.setenv("IHVIT_THREADS", "5")
+    assert worker_count() == 5
 
 
 def test_write_atomic_replaces_the_file(tmp_path):
