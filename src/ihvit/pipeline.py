@@ -31,7 +31,6 @@ _TRANSLATE_STEPS = {"left": (-1, 0), "right": (1, 0), "up": (0, -1), "down": (0,
 TRANSLATE_DIRECTIONS = tuple(_TRANSLATE_STEPS)
 TRANSLATE_FRACTION = 0.1
 
-_FAMILY_IDS = {"flip": 1, "rotate": 2, "scale": 3, "crop": 4, "translate": 5}
 # (family, index) of every variant, in the order augment_all returns them
 VARIANTS = [(family, i) for family, n in (
     ("flip", len(FLIPS)), ("rotate", len(ROTATIONS)), ("scale", len(SCALE_FACTORS)),
@@ -82,7 +81,6 @@ def _field(obj: dict, key: str, kind: type, where: str, default=None):
 class Manifest:
     seed: int
     entries: list[ManifestEntry] = field(default_factory=list)
-    version: int = MANIFEST_SCHEMA_VERSION
 
     def __post_init__(self):
         self.validate()
@@ -110,7 +108,7 @@ class Manifest:
 
     def to_json(self) -> dict:
         return {
-            "version": self.version,
+            "version": MANIFEST_SCHEMA_VERSION,
             "seed": self.seed,
             "entries": [e.to_json() for e in self.entries],
         }
@@ -134,7 +132,6 @@ class Manifest:
         return cls(
             seed=seed,
             entries=[ManifestEntry.from_json(e) for e in _field(obj, "entries", list, str(path))],
-            version=obj["version"],
         )
 
 
@@ -271,10 +268,6 @@ def _resize_array(pixels: np.ndarray, tw: int, th: int,
 # augmentation
 
 
-def _variant_rng(seed: int, family: str, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, _FAMILY_IDS[family], index)))
-
-
 def _apply_variant(px: np.ndarray, family: str, index: int, seed: int) -> np.ndarray:
     h, w = px.shape[:2]
     if family == "flip":
@@ -291,7 +284,8 @@ def _apply_variant(px: np.ndarray, family: str, index: int, seed: int) -> np.nda
         # the enlarged frame's centre window, the only part kept
         return _resize_array(px, bw, bh, window=((bw - w) // 2, (bh - h) // 2, w, h))
     if family == "crop":
-        rng = _variant_rng(seed, family, index)
+        # the one variant that draws numbers; the variant files' bytes depend on this stream
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 4, index)))
         f = rng.uniform(*CROP_FRACTION_RANGE)
         # a window of 2 px a side at least, and never wider than the image
         cw = min(w, max(2, round(w * f)))

@@ -37,8 +37,8 @@ DEFAULT_CLASSES = ("normal",) + DEFECT_KINDS
 DEFAULT_RESOLUTIONS = ((512, 480), (1440, 1080), (4608, 3456), (1276, 1702))
 DEFAULT_RESOLUTION_WEIGHTS = (0.4, 0.3, 0.15, 0.15)
 DEFAULT_MAX_EMIT_PIXELS = 2_200_000
-# the chip body's least share of a frame side, per density mode (see chip_geometry)
-CHIP_FRACTION_LOW = {"balanced": 0.75, "chip_in_corner": 0.22}
+# the (low, high) range of the chip body's share of a frame side, per density mode
+_CHIP_FRACTION = {"balanced": (0.75, 0.80), "chip_in_corner": (0.22, 0.34)}
 
 DEFAULT_COUNTS = {
     "normal": 100,
@@ -68,7 +68,7 @@ class SynthConfig:
         self.classes = tuple(self.classes)
         self.counts = dict(self.counts)
         check_fields(self)
-        if self.density not in CHIP_FRACTION_LOW:
+        if self.density not in _CHIP_FRACTION:
             raise ConfigError(f"unknown density mode {self.density!r}")
         if len(self.resolutions) != len(self.resolution_weights):
             raise ConfigError("resolution pool and weights differ in length")
@@ -77,7 +77,7 @@ class SynthConfig:
         for r in self.resolutions:
             w, h = self.emit_size(r)
             # the scratch keeps 2 px from each chip edge, so a chip side needs 4 px
-            if min(w, h) * CHIP_FRACTION_LOW[self.density] < 4:
+            if min(w, h) * _CHIP_FRACTION[self.density][0] < 4:
                 raise ConfigError(f"resolution {r} is emitted at {w}x{h}, too small for a "
                                   f"{self.density} chip 4 px a side")
         if len(self.classes) > 11:
@@ -90,6 +90,8 @@ class SynthConfig:
                     f"unknown class {name!r}; defect classes are {DEFECT_KINDS} "
                     "(optionally suffixed '#<variant>')"
                 )
+        if len(set(self.classes)) != len(self.classes):
+            raise ConfigError(f"class names must be distinct, got {list(self.classes)}")
         unknown = set(self.counts) - set(self.classes)
         if unknown:
             raise ConfigError(f"counts given for unknown classes: {sorted(unknown)}")
@@ -153,17 +155,13 @@ def chip_geometry(size: tuple[int, int], seed: int, density: str = "balanced") -
     """Reproduce the exact geometry the renderer will use for this seed."""
     w, h = size
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-
+    fw = rng.uniform(*_CHIP_FRACTION[density])
+    fh = rng.uniform(*_CHIP_FRACTION[density])
+    cw, ch = int(w * fw), int(h * fh)
     if density == "balanced":
-        fw = rng.uniform(0.75, 0.80)
-        fh = rng.uniform(0.75, 0.80)
-        cw, ch = int(w * fw), int(h * fh)
         cx0 = (w - cw) // 2 + int(rng.integers(-w // 100, w // 100 + 1))
         cy0 = (h - ch) // 2 + int(rng.integers(-h // 100, h // 100 + 1))
     else:
-        fw = rng.uniform(0.22, 0.34)
-        fh = rng.uniform(0.22, 0.34)
-        cw, ch = int(w * fw), int(h * fh)
         corner = int(rng.integers(0, 4))
         mx = int(w * rng.uniform(0.03, 0.07))
         my = int(h * rng.uniform(0.03, 0.07))

@@ -336,18 +336,17 @@ _ARM_CHANNELS = {
 
 
 def build_arm(name: str, vit_cfg: ViTConfig, resnet_cfg: ResNetConfig,
-              fusion: FusionWeights | None = None, seed: int = 0,
-              dtype: str = "f32") -> Arm:
+              fusion: FusionWeights | None = None, seed: int = 0) -> Arm:
     if name not in ARM_ORDER:
         raise ConfigError(f"unknown arm {name!r}; expected one of {ARM_ORDER}")
     if name == "ih-vit" and resnet_cfg.classes != vit_cfg.classes:
         raise ConfigError(f"ih-vit branch classes differ: {resnet_cfg.classes} vs {vit_cfg.classes}")
     branches = {}
     if name in ("resnet", "ih-vit"):
-        branches["resnet"] = ResNetBranch(resnet_cfg, seed=seed, dtype=dtype)
+        branches["resnet"] = ResNetBranch(resnet_cfg, seed=seed)
     if name != "resnet":
         vit_cfg = replace(vit_cfg, channels=_ARM_CHANNELS.get(name, vit_cfg.channels))
-        branches["vit"] = ViTBranch(vit_cfg, seed=seed, dtype=dtype)
+        branches["vit"] = ViTBranch(vit_cfg, seed=seed)
     return Arm(name, branches, fusion or FusionWeights())
 
 
@@ -363,7 +362,7 @@ def arm_from_checkpoint(path) -> Arm:
         raise FormatError(f"{path}: header config is not a JSON object: {config!r:.60}")
     name = config.get("arm")
     if name not in ARM_ORDER:
-        raise ConfigError(f"checkpoint has unknown arm {name!r}")
+        raise FormatError(f"{path}: checkpoint has unknown arm {name!r:.60}")
     try:
         model = {k: {**(config.get(k) or {})} for k in ("vit", "resnet")}
         for (section, key), fixed in _LEGACY_FIELDS.items():
@@ -374,16 +373,18 @@ def arm_from_checkpoint(path) -> Arm:
         vit_cfg = ViTConfig(**model["vit"])
         resnet_cfg = ResNetConfig(**model["resnet"])
         fusion = FusionWeights(**config.get("fusion", {}))
+        arm = build_arm(name, vit_cfg, resnet_cfg, fusion=fusion, seed=0)
     except (ConfigError, TypeError, ValueError) as e:  # a header value outside its domain
         raise FormatError(f"{path}: invalid model config in header: {e}") from None
-    arm = build_arm(name, vit_cfg, resnet_cfg, fusion=fusion, seed=0)
+    # a header that does not describe the file's tensors is a format fault
     params = arm.parameters()
     if set(raw) != set(params):
         missing = sorted(set(params) ^ set(raw))
-        raise ConfigError(f"checkpoint parameters do not match arm layout: {missing[:4]}")
+        raise FormatError(f"{path}: checkpoint parameters do not match arm layout: {missing[:4]}")
     for k, t in params.items():
         if tuple(raw[k].shape) != t.shape:
-            raise ConfigError(f"checkpoint tensor {k!r} has shape {raw[k].shape}, expected {t.shape}")
+            raise FormatError(f"{path}: checkpoint tensor {k!r} has shape {raw[k].shape}, "
+                              f"expected {t.shape}")
         t.data = raw[k]
     return arm
 
@@ -639,6 +640,7 @@ def ablate(manifest: Manifest, base_dir, vit_cfg: ViTConfig, resnet_cfg: ResNetC
             "train": asdict(cfg),
             "vit": asdict(vit_cfg),
             "resnet": asdict(resnet_cfg),
+            "fusion": asdict(fusion or FusionWeights()),
         }),
         epochs_run=cfg.epochs,
         rows=rows,

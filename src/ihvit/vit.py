@@ -23,6 +23,7 @@ from .tensor import (
     broadcast_to,
     concat,
     conv2d,
+    conv_out_extent,
     gelu,
     matmul,
     maxpool2d,
@@ -35,7 +36,11 @@ from .tensor import (
 )
 from .util import bounded, check_fields
 
-EMBED_PATHS = ("convblock", "conv_only", "linear")
+# each embed path's steps before the unify projection: (convolves, pools)
+EMBED_PATHS = {"convblock": (True, True), "conv_only": (True, False), "linear": (False, False)}
+# (kernel, stride, pad) of the in-patch conv and of the max-pool after it
+_CONV = (7, 2, 3)
+_POOL = (2, 2, 1)
 # side of the square input every ViT arm tiles; load_split resizes to it
 IMAGE_SIZE = 224
 
@@ -50,24 +55,21 @@ class ChannelSpec:
     def __post_init__(self):
         check_fields(self)
         if self.embed not in EMBED_PATHS:
-            raise ConfigError(f"unknown embed path {self.embed!r}; expected {EMBED_PATHS}")
+            raise ConfigError(f"unknown embed path {self.embed!r}; expected {tuple(EMBED_PATHS)}")
 
     def conv_spatial(self) -> tuple[int, int]:
         """(after-conv, after-pool) spatial extents for the conv paths."""
-        s1 = (self.patch + 2 * 3 - 7) // 2 + 1
-        s2 = (s1 + 2 * 1 - 2) // 2 + 1
-        return s1, s2
+        s1 = conv_out_extent(self.patch, *_CONV)
+        return s1, conv_out_extent(s1, *_POOL)
 
     @property
     def raw_dim(self) -> int:
-        if self.embed == "convblock":
-            return 3 * self.conv_spatial()[1] ** 2
-        if self.embed == "conv_only":
-            return 3 * self.conv_spatial()[0] ** 2
-        return 3 * self.patch ** 2
+        convolves, pools = EMBED_PATHS[self.embed]
+        side = self.conv_spatial()[int(pools)] if convolves else self.patch
+        return 3 * side ** 2
 
-    def token_count(self, image_size: int) -> int:
-        return (image_size // self.patch) ** 2
+    def token_count(self) -> int:
+        return (IMAGE_SIZE // self.patch) ** 2
 
 
 @dataclass
@@ -132,28 +134,16 @@ def patchify(img: Tensor, patch: int) -> Tensor:
 
 
 def conv_embed(patches: Tensor, w: Tensor, b: Tensor, pool: bool) -> Tensor:
-    """conv(k7,s2,p3) -> relu [-> maxpool(k2,s2,p1)] -> flatten.
+    """conv(``_CONV``) -> relu [-> maxpool(``_POOL``)] -> flatten; [M,3,P,P] -> [M, raw_dim].
 
     With the pool, 16x16 patches trace 16 -> 8 -> 5 and embed to width 75;
     without it, 32x32 patches trace 32 -> 16 and embed to width 768.
     """
-    if patches.ndim != 4:
-        raise ShapeError(f"conv_embed: expected [M,3,P,P], got {patches.shape}")
-    y = relu(conv2d(patches, w, b, stride=2, pad=3))
+    _, stride, pad = _CONV
+    y = relu(conv2d(patches, w, b, stride=stride, pad=pad))
     if pool:
-        y = maxpool2d(y, 2, 2, 1)
+        y = maxpool2d(y, *_POOL)
     return reshape(y, (patches.shape[0], -1))
-
-
-def unify(tokens: Tensor, w_unify: Tensor) -> Tensor:
-    """Per-channel projection onto the shared token width."""
-    if tokens.ndim != 2 or w_unify.ndim != 2:
-        raise ShapeError(f"unify: expected 2-D operands, got {tokens.shape}, {w_unify.shape}")
-    if tokens.shape[1] != w_unify.shape[0]:
-        raise ShapeError(
-            f"unify: token width {tokens.shape[1]} does not match matrix {w_unify.shape}"
-        )
-    return matmul(tokens, w_unify)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +192,9 @@ def _encode(tokens: Tensor, params: dict, cfg: ViTConfig) -> Tensor:
 # parameter initialization
 
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
+def trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """N(0, 0.02^2), each draw beyond two standard deviations drawn again."""
+    std = 0.02
     out = rng.normal(0.0, std, size=shape)
     bad = np.abs(out) > 2 * std
     while bad.any():
@@ -226,10 +218,9 @@ class ViTBranch:
         d = config.dim
         p: dict[str, np.ndarray] = {"cls": trunc_normal(rng, (d,))}
         for i, ch in enumerate(config.channels):
-            n = ch.token_count(IMAGE_SIZE)
-            p[f"ch{i}.pos"] = trunc_normal(rng, (n + 1, d))
-            if ch.embed != "linear":
-                p[f"ch{i}.conv.w"] = kaiming_uniform(rng, (3, 3, 7, 7))
+            p[f"ch{i}.pos"] = trunc_normal(rng, (ch.token_count() + 1, d))
+            if EMBED_PATHS[ch.embed][0]:  # a conv path
+                p[f"ch{i}.conv.w"] = kaiming_uniform(rng, (3, 3, _CONV[0], _CONV[0]))
                 p[f"ch{i}.conv.b"] = np.zeros(3)
             p[f"ch{i}.unify"] = trunc_normal(rng, (ch.raw_dim, d))
         for l in range(config.depth):
@@ -253,15 +244,16 @@ class ViTBranch:
         cfg = self.config
         ch = cfg.channels[index]
         bsz = images.shape[0]
-        n = ch.token_count(IMAGE_SIZE)
+        n = ch.token_count()
         patches = patchify(images, ch.patch)
         flat_patches = reshape(patches, (bsz * n, 3, ch.patch, ch.patch))
-        if ch.embed == "linear":
-            raw = reshape(flat_patches, (bsz * n, ch.raw_dim))
-        else:
+        convolves, pools = EMBED_PATHS[ch.embed]
+        if convolves:
             raw = conv_embed(flat_patches, self.params[f"ch{index}.conv.w"],
-                             self.params[f"ch{index}.conv.b"], pool=ch.embed == "convblock")
-        unified = unify(raw, self.params[f"ch{index}.unify"])
+                             self.params[f"ch{index}.conv.b"], pool=pools)
+        else:
+            raw = reshape(flat_patches, (bsz * n, ch.raw_dim))
+        unified = matmul(raw, self.params[f"ch{index}.unify"])
         return reshape(unified, (bsz, n, cfg.dim))
 
     def channel_feature(self, images: Tensor, index: int, cls_row: Tensor, *,

@@ -124,6 +124,14 @@ class TestGen:
         bad.write_text('{"synht": {}}')
         assert main(["gen", "--out", str(tmp_path / "x"), "--config", str(bad)]) == 2
 
+    def test_duplicate_class_names_exit_2_without_writing(self, tmp_path, capsys):
+        rc = main(["gen", "--out", str(tmp_path / "x")] + SMALL_SYNTH + [
+            "--set", 'synth.classes=["normal","scratch","scratch"]',
+            "--set", 'synth.counts={"normal":2,"scratch":2}'])
+        assert rc == 2
+        assert "class names must be distinct" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestAugmentSplit:
     def test_augment_adds_14_per_defect(self, tmp_path):
@@ -502,6 +510,13 @@ class TestTrainEval:
         (("config", "vit", "heads"), 0, "ViTConfig.heads must be >= 1, got 0"),
         (("config", "resnet"), {"stem_width": 0}, "ResNetConfig.stem_width must be >= 1, got 0"),
         (("config", "fusion", "a_vit"), 0, "FusionWeights.a_vit must be > 0, got 0"),
+        # a header that does not describe the tensors the file holds
+        (("config", "arm"), "vgg", "checkpoint has unknown arm 'vgg'"),
+        (("config", "arm"), "vit", "checkpoint parameters do not match arm layout"),
+        (("config", "vit", "depth"), 2, "checkpoint parameters do not match arm layout"),
+        (("config", "vit", "dim"), 16, "checkpoint tensor 'vit.cls' has shape"),
+        (("config", "vit", "classes"), 7, "checkpoint tensor 'vit.head.w' has shape"),
+        (("config",), {"arm": "ih-vit", "resnet": {"classes": 7}}, "ih-vit branch classes differ"),
     ])
     def test_eval_on_mistyped_header_exits_3(self, trained, tmp_path, capsys,
                                              keys, value, message):

@@ -617,6 +617,18 @@ class TestAblate:
         with pytest.raises(TypeError, match="a bug"):
             ablate(manifest, root, TINY_VIT, TINY_RESNET, TrainConfig(epochs=1, batch_size=16, seed=9))
 
+    def test_config_hash_covers_fusion(self, monkeypatch):
+        # as a train report's hash does; the stub report stands in for training
+        import ihvit.train as train_mod
+
+        stub = MetricsReport(arm="x", accuracy=0.5, confusion=[], loss_curve=[], acc_curve=[],
+                             seed=0, config_hash="", epochs_run=1)
+        monkeypatch.setattr(train_mod, "train", lambda *a, **kw: stub)
+        tc = TrainConfig(epochs=1, seed=0)
+        hashes = {ablate(None, None, TINY_VIT, TINY_RESNET, tc, fusion=f).config_hash
+                  for f in (None, FusionWeights(), FusionWeights(a_vit=2.0))}
+        assert len(hashes) == 2
+
 
 class TestBatchTensor:
     def test_channel_first_scaling(self):

@@ -18,7 +18,6 @@ from ihvit.vit import (
     multi_head_attention,
     patchify,
     _encode,
-    unify,
 )
 
 TINY = ViTConfig(depth=1, heads=1, dim=15, mlp_hidden=30, classes=3)
@@ -65,8 +64,8 @@ class TestChannelSpec:
     def test_paper_dims(self):
         conv16 = ChannelSpec(16, "convblock")
         conv32 = ChannelSpec(32, "conv_only")
-        assert conv16.token_count(224) == 196
-        assert conv32.token_count(224) == 49
+        assert conv16.token_count() == 196
+        assert conv32.token_count() == 49
         assert conv16.raw_dim == 75        # 5 * 5 * 3
         assert conv32.raw_dim == 768       # 16 * 16 * 3
         assert ChannelSpec(16, "linear").raw_dim == 768   # 16 * 16 * 3 flat
@@ -109,29 +108,6 @@ class TestEmbeds:
         w = Tensor(np.ones((3, 3, 7, 7), dtype=np.float32))
         b = Tensor(np.zeros(3, dtype=np.float32))
         assert np.abs(conv_embed(patches, w, b, pool=False).data).max() == 0.0
-
-
-class TestUnify:
-    def test_both_channel_shapes(self):
-        rng = np.random.default_rng(5)
-        t16 = Tensor(rng.random((196, 75)).astype(np.float32))
-        w16 = Tensor(rng.random((75, 75)).astype(np.float32))
-        assert unify(t16, w16).shape == (196, 75)
-        t32 = Tensor(rng.random((49, 768)).astype(np.float32))
-        w32 = Tensor(rng.random((768, 75)).astype(np.float32))
-        assert unify(t32, w32).shape == (49, 75)
-
-    def test_identity_projection(self):
-        rng = np.random.default_rng(6)
-        t = Tensor(rng.random((10, 75)).astype(np.float32))
-        out = unify(t, Tensor(np.eye(75, dtype=np.float32)))
-        assert np.allclose(out.data, t.data, atol=1e-6)
-
-    def test_mismatch_rejected(self):
-        t = Tensor(np.zeros((49, 768), dtype=np.float32))
-        w = Tensor(np.zeros((75, 75), dtype=np.float32))
-        with pytest.raises(ShapeError):
-            unify(t, w)
 
 
 class TestAttention:
