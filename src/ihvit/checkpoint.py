@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import FormatError
 from .tensor import Tensor, UsageError
-from .util import write_atomic
+from .util import read_json_object, write_atomic
 
 MAGIC = b"IHVT"
 FORMAT_VERSION = 1
@@ -63,12 +63,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     (hlen,) = struct.unpack("<Q", data[8:16])
     if len(data) < 16 + hlen:
         raise FormatError(f"{path}: truncated header ({len(data) - 16} of {hlen} bytes)", offset=16)
-    try:
-        header = json.loads(data[16:16 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise FormatError(f"{path}: unreadable header: {e}", offset=16) from None
-    if not isinstance(header, dict):
-        raise FormatError(f"{path}: header is not a JSON object", offset=16)
+    header = read_json_object(data[16:16 + hlen], f"{path}: header", FormatError, offset=16)
     entries = header.get("tensors")
     if not isinstance(entries, list):
         raise FormatError(f"{path}: header missing tensor manifest", offset=16)

@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 check failure, 2 config/usage error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -184,20 +183,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except json.JSONDecodeError as e:
-        print(f"error: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}",
-              file=sys.stderr)
-        return 2
     except (ConfigError, InputError, UsageError, NumericsError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except FormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as e:
-        print(f"error: missing file(s): {e}", file=sys.stderr)
-        return 3
-    except OSError as e:
+    except (FormatError, OSError) as e:  # a malformed, missing or unreadable file
         print(f"error: {e}", file=sys.stderr)
         return 3
 

@@ -15,6 +15,7 @@ from .errors import ConfigError
 from .resnet import ResNetConfig
 from .synth import SynthConfig
 from .train import FusionWeights, TrainConfig
+from .util import read_json_object
 from .vit import ViTConfig
 
 
@@ -41,7 +42,7 @@ def default_config_dict() -> dict:
 
 def _merge(base: dict, user, path: str = "") -> None:
     if not isinstance(user, dict):
-        raise ConfigError(f"config section {path or '<root>'} must be an object")
+        raise ConfigError(f"config section {path} must be an object")
     for key, value in user.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
@@ -72,8 +73,9 @@ def apply_override(cfg: dict, spec: str) -> None:
         raise ConfigError(f"--set: unknown config key {dotted!r}")
     try:
         node[leaf] = json.loads(raw)
-    except json.JSONDecodeError:
-        node[leaf] = raw  # bare strings allowed without quotes
+    except (json.JSONDecodeError, RecursionError):
+        # a bare string needs no quotes; one nested too deep meets its field's check
+        node[leaf] = raw
 
 
 def _construct(d: dict) -> RunConfig:
@@ -95,8 +97,7 @@ def load_run_config(path=None, overrides: list[str] | None = None,
     """Assemble config from defaults, optional file, --set overrides, --seed."""
     merged = default_config_dict()
     if path is not None:
-        obj = json.loads(Path(path).read_text())
-        _merge(merged, obj)
+        _merge(merged, read_json_object(Path(path).read_bytes(), f"config {path}", ConfigError))
     for spec in overrides or ():
         apply_override(merged, spec)
     if seed is not None:

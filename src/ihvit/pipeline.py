@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, FormatError, InputError
-from .util import run_all, write_atomic
+from .util import read_json_object, run_all, write_atomic
 
 MANIFEST_SCHEMA_VERSION = 1
 
@@ -53,11 +53,13 @@ class ManifestEntry:
         if not isinstance(obj, dict):
             raise FormatError(f"manifest entry must be an object, got {obj!r:.60}")
         where = f"manifest entry {obj.get('path')!r:.60}"
-        label = _field(obj, "label", int, where)
+        label, path = _field(obj, "label", int, where), _field(obj, "path", str, where)
+        if "\0" in path:  # no file system takes it
+            raise FormatError(f"{where}: field 'path' holds a NUL byte")
         if label < 0:
             raise FormatError(f"{where}: field 'label' must be >= 0, got {label}")
         return cls(
-            path=_field(obj, "path", str, where),
+            path=path,
             label=label,
             defect_free=_field(obj, "defect_free", bool, where),
             split=_field(obj, "split", str, where, "none"),
@@ -118,12 +120,7 @@ class Manifest:
 
     @classmethod
     def load(cls, path) -> "Manifest":
-        try:
-            obj = json.loads(Path(path).read_bytes().decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise FormatError(f"{path}: unreadable manifest: {e}") from None
-        if not isinstance(obj, dict):
-            raise FormatError(f"{path}: manifest must be a JSON object")
+        obj = read_json_object(Path(path).read_bytes(), f"{path}: manifest", FormatError)
         if obj.get("version") != MANIFEST_SCHEMA_VERSION:
             raise FormatError(f"unsupported manifest version {obj.get('version')!r}")
         seed = _field(obj, "seed", int, str(path))

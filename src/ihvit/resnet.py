@@ -28,13 +28,15 @@ from .tensor import (
 from .util import bounded, check_fields
 from .vit import kaiming_uniform, trunc_normal
 
+# a bottleneck block's inner width is its output width over this
+BOTTLENECK = 4
+
 
 @dataclass
 class ResNetConfig:
     stem_width: int = bounded(16, min=1)
     stage_blocks: tuple[int, ...] = bounded((1, 1, 1, 1), min=1)
     stage_widths: tuple[int, ...] = bounded((32, 64, 128, 256), min=1)
-    bottleneck: int = bounded(4, min=1)
     classes: int = bounded(6, min=2)
 
     def __post_init__(self):
@@ -45,8 +47,8 @@ class ResNetConfig:
         if not self.stage_blocks or len(self.stage_blocks) != len(self.stage_widths):
             raise ConfigError("stage_blocks and stage_widths must be non-empty and of one length")
         for w in self.stage_widths:
-            if w % self.bottleneck != 0:
-                raise ConfigError(f"stage width {w} not divisible by bottleneck {self.bottleneck}")
+            if w % BOTTLENECK != 0:
+                raise ConfigError(f"stage width {w} not divisible by bottleneck {BOTTLENECK}")
 
     @classmethod
     def resnet50(cls, classes: int = 1000) -> "ResNetConfig":
@@ -78,7 +80,7 @@ class ResNetBranch:
         }
         cin = config.stem_width
         for s, (blocks, width) in enumerate(zip(config.stage_blocks, config.stage_widths)):
-            mid = width // config.bottleneck
+            mid = width // BOTTLENECK
             for b in range(blocks):
                 pre = f"s{s}.b{b}"
                 p[f"{pre}.conv1.w"] = kaiming_uniform(rng, (mid, cin, 1, 1))

@@ -59,7 +59,6 @@ class SynthConfig:
     counts: dict[str, int] = bounded(DEFAULT_COUNTS, min=0)
     density: str = "balanced"  # balanced | chip_in_corner
     noise_sigma: float = bounded(2.0, min=0)
-    max_emit_pixels: int = bounded(DEFAULT_MAX_EMIT_PIXELS, min=1)
 
     def __post_init__(self):
         # a JSON document gives the sequences as lists
@@ -106,7 +105,7 @@ class SynthConfig:
 
     def emit_size(self, nominal: tuple[int, int]) -> tuple[int, int]:
         w, h = nominal
-        while w * h > self.max_emit_pixels:
+        while w * h > DEFAULT_MAX_EMIT_PIXELS:
             w //= 2
             h //= 2
         return w, h

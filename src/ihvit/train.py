@@ -19,7 +19,7 @@ from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, FormatError, InputError
 from .pipeline import Manifest, read_ppm, _resize_array
-from .resnet import ResNetBranch, ResNetConfig
+from .resnet import BOTTLENECK, ResNetBranch, ResNetConfig
 from .tensor import Tape, Tensor, NumericsError, UsageError, cross_entropy
 from .util import bounded, check_fields, run_all, write_atomic
 from .vit import IMAGE_SIZE, ChannelSpec, ViTBranch, ViTConfig
@@ -34,6 +34,8 @@ ARM_DISPLAY = {
 }
 # images per (branch, chunk) call of the tape-free forward; see Arm.branch_logits
 _FORWARD_CHUNK = 4
+# Adam's moment decays and the guard added to its denominator
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 # what one ablation arm may raise and still leave an error row for the others;
 # anything else is a programming error and propagates
 _ARM_ERRORS = (ConfigError, InputError, FormatError, T.TensorError, OSError)
@@ -61,10 +63,6 @@ class TrainConfig:
     lr0: float = bounded(0.001, above=0)
     lr_min: float = bounded(0.0, min=0)
     epochs: int = bounded(20, min=1)
-    # beta2 = 1 would make Adam's bias correction divide by zero
-    beta1: float = bounded(0.9, min=0, below=1)
-    beta2: float = bounded(0.999, min=0, below=1)
-    eps: float = bounded(1e-8, above=0)
     weight_decay: float = bounded(1e-4, min=0)
     batch_size: int = bounded(8, min=1)
     seed: int = bounded(0, min=0)
@@ -156,17 +154,16 @@ class Adam:
 
     def __init__(self, params: dict[str, Tensor], cfg: TrainConfig):
         self.params = params
-        self.cfg = cfg
+        self.weight_decay = cfg.weight_decay
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
 
     def step(self, lr: float) -> None:
         """Update every parameter that has a gradient, then clear the gradients."""
-        cfg = self.cfg
         self.t += 1
-        bc1 = 1.0 - cfg.beta1 ** self.t
-        bc2 = 1.0 - cfg.beta2 ** self.t
+        bc1 = 1.0 - _BETA1 ** self.t
+        bc2 = 1.0 - _BETA2 ** self.t
         for name, w in self.params.items():
             g, w.grad = w.grad, None
             if g is None:
@@ -176,11 +173,11 @@ class Adam:
                 raise UsageError(
                     f"Adam: gradient shape {g.shape} != parameter shape {p.shape} for {name!r}"
                 )
-            if cfg.weight_decay:
-                g = g + p.dtype.type(cfg.weight_decay) * p
-            m = self.m[name] = cfg.beta1 * self.m.get(name, 0.0) + (1.0 - cfg.beta1) * g
-            v = self.v[name] = cfg.beta2 * self.v.get(name, 0.0) + (1.0 - cfg.beta2) * (g * g)
-            p -= (lr / bc1) * m / (np.sqrt(v / bc2) + cfg.eps)
+            if self.weight_decay:
+                g = g + p.dtype.type(self.weight_decay) * p
+            m = self.m[name] = _BETA1 * self.m.get(name, 0.0) + (1.0 - _BETA1) * g
+            v = self.v[name] = _BETA2 * self.v.get(name, 0.0) + (1.0 - _BETA2) * (g * g)
+            p -= (lr / bc1) * m / (np.sqrt(v / bc2) + _EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +349,9 @@ def build_arm(name: str, vit_cfg: ViTConfig, resnet_cfg: ResNetConfig,
 
 # model fields that older checkpoint headers carry, each with the one value
 # the code implements; a header holding another value cannot be built
-_LEGACY_FIELDS = {("vit", "image_size"): IMAGE_SIZE, ("resnet", "norm"): True,
-                  ("resnet", "residual"): True}
+_LEGACY_FIELDS = {("vit", "image_size"): IMAGE_SIZE, ("vit", "eps"): 1e-5,
+                  ("resnet", "norm"): True, ("resnet", "residual"): True,
+                  ("resnet", "bottleneck"): BOTTLENECK}
 
 
 def arm_from_checkpoint(path) -> Arm:

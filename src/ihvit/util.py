@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 import os
@@ -119,13 +120,31 @@ def write_atomic(path, chunks: Iterable[bytes]) -> None:
         raise
 
 
+def read_json_object(data: bytes, what: str, error: type[Exception], **at) -> dict:
+    """The JSON object that ``data`` holds as UTF-8 text.  Bytes that are
+    not UTF-8, malformed JSON, nesting deeper than the parser's recursion
+    limit and any other JSON value raise ``error(message, **at)``, the
+    message naming ``what``; ``at`` is, say, a checkpoint header's offset."""
+    try:
+        obj = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise error(f"{what} is not UTF-8: {e}", **at) from None
+    except json.JSONDecodeError as e:
+        raise error(f"{what} is not valid JSON: {e}", **at) from None
+    except RecursionError:
+        raise error(f"{what} is nested too deeply to parse", **at) from None
+    if not isinstance(obj, dict):
+        raise error(f"{what} is not a JSON object", **at)
+    return obj
+
+
 # what a bounded field may declare: bound -> (symbol, test a number must pass)
-_BOUNDS = {"min": (">=", operator.ge), "above": (">", operator.gt), "below": ("<", operator.lt)}
+_BOUNDS = {"min": (">=", operator.ge), "above": (">", operator.gt)}
 
 
 def bounded(default, **domain):
     """A dataclass field with ``default`` whose numbers :func:`check_fields`
-    checks against ``domain``: ``min`` (inclusive), ``above`` or ``below``."""
+    checks against ``domain``: ``min`` (inclusive) or ``above``."""
     if isinstance(default, dict):
         return field(default_factory=partial(dict, default), metadata=domain)
     return field(default=default, metadata=domain)

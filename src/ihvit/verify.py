@@ -275,8 +275,7 @@ def check_shape_embeds() -> str:
 def check_shape_resnet50() -> str:
     model = ResNetBranch(ResNetConfig.resnet50(classes=4), seed=0)
     x = Tensor(np.zeros((1, 3, 224, 224), dtype=np.float32))
-    h = T.conv2d(x, model.params["stem.conv.w"], stride=2, pad=3)
-    h = T.maxpool2d(h, 3, 2, 1)
+    h = T.maxpool2d(model.stem(x), 3, 2, 1)
     for s, blocks in enumerate(model.config.stage_blocks):
         for b in range(blocks):
             h = model.bottleneck_forward(h, s, b)

@@ -83,7 +83,6 @@ class ViTConfig:
     heads: int = bounded(3, min=1)
     mlp_hidden: int = bounded(300, min=1)
     classes: int = bounded(6, min=2)
-    eps: float = bounded(1e-5, above=0)
 
     def __post_init__(self):
         # a JSON document gives channels as a list of {patch, embed} objects
@@ -177,10 +176,10 @@ def _encode(tokens: Tensor, params: dict, cfg: ViTConfig) -> Tensor:
     """Pre-norm transformer stack shared by every channel."""
     bsz, n, d = tokens.shape
     for l in range(cfg.depth):
-        h = layernorm(tokens, params[f"enc{l}.ln1.g"], params[f"enc{l}.ln1.b"], cfg.eps)
+        h = layernorm(tokens, params[f"enc{l}.ln1.g"], params[f"enc{l}.ln1.b"])
         attn_out, _ = multi_head_attention(h, params, f"enc{l}.attn", cfg.heads)
         tokens = add(tokens, attn_out)
-        h = layernorm(tokens, params[f"enc{l}.ln2.g"], params[f"enc{l}.ln2.b"], cfg.eps)
+        h = layernorm(tokens, params[f"enc{l}.ln2.g"], params[f"enc{l}.ln2.b"])
         flat = reshape(h, (bsz * n, d))
         m = gelu(add(matmul(flat, params[f"enc{l}.mlp.w1"]), params[f"enc{l}.mlp.b1"]))
         m = add(matmul(m, params[f"enc{l}.mlp.w2"]), params[f"enc{l}.mlp.b2"])

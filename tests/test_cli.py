@@ -73,10 +73,15 @@ def _tiny_config() -> dict:
     return cfg
 
 
-# 0, -1 and 1.5 in every numeric field of the tiny config: the first element
-# of a list, one class of counts and the patch of the first channel
+# numeric keys a config written before they became constants may still hold
+FORMER_KEYS = ("model.resnet.bottleneck", "model.vit.eps", "synth.max_emit_pixels",
+               "train.beta1", "train.beta2", "train.eps")
+# 0, -1 and 1.5 in every numeric field of the tiny config (the first element
+# of a list, one class of counts and the patch of the first channel) and in
+# every former key
 GENERATED = [f"{key}={json.dumps(_put_first(v, x), separators=(',', ':'))}"
-             for key, v in _numeric_fields(_tiny_config()) for x in (0, -1, 1.5)]
+             for key, v in [*_numeric_fields(_tiny_config()), *((k, 0) for k in FORMER_KEYS)]
+             for x in (0, -1, 1.5)]
 
 
 def run_gen(tmp_path, seed=7):
@@ -215,6 +220,22 @@ class TestAugmentSplit:
         assert reads == []
         assert f"{entry['path']!r}: field 'label' must be >= 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd", [["train", "--arm", "ih-vit"] + TINY_MODEL, ["augment"],
+                                     ["split", "--seed", "1", "--force"]])
+    def test_manifest_path_with_nul_byte_exits_3(self, tmp_path, cmd, capsys):
+        # no file system takes the path, so the manifest is refused at load
+        out = run_gen(tmp_path, seed=3)
+        assert main(["split", "--manifest", str(out / "manifest.json"), "--seed", "1"]) == 0
+        doc = json.loads((out / "manifest.json").read_text())
+        entry = next(e for e in doc["entries"] if e["split"] == "train")
+        entry["path"] += "\0.ppm"
+        (out / "manifest.json").write_text(json.dumps(doc))
+        argv = [cmd[0], "--manifest", str(out / "manifest.json")] + cmd[1:]
+        if cmd[0] == "train":
+            argv += ["--out", str(tmp_path / "run")]
+        assert main(argv) == 3
+        assert f"{entry['path']!r}: field 'path' holds a NUL byte" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cmd", [["train", "--arm", "ih-vit"] + TINY_MODEL, ["augment"]])
     def test_zero_dimension_image_exits_3(self, tmp_path, cmd, capsys):
         out = run_gen(tmp_path, seed=3)
@@ -343,10 +364,10 @@ class TestTrainEval:
         "train.epochs=1.5", "train.batch_size=2.5", "train.seed=true", "model.vit.depth=1.0",
         'model.vit.channels=[{"patch": 16.0, "embed": "linear"}]',
         # values a model cannot be built with
-        "model.vit.heads=0", "model.resnet.bottleneck=0",
+        "model.vit.heads=0",
         'model.resnet={"stage_blocks": [], "stage_widths": []}',
         "model.resnet.stage_blocks=[1,1,1,0]", "model.vit.channels=[]",
-        "train.min_epochs=-3", "train.lr0=true", "train.beta2=1",
+        "train.min_epochs=-3", "train.lr0=true",
     ])
     def test_mistyped_config_value_exits_2(self, trained, override, capsys):
         data, run = trained
@@ -380,14 +401,24 @@ class TestTrainEval:
     @pytest.mark.parametrize("override", [
         "model.resnet.norm=false", "model.resnet.residual=false", "model.vit.image_size=448",
         "train.eval_batch_size=0",
+        # constants: Adam's decays and guard, the layernorm guard, the bottleneck
+        # ratio and the emitted-pixel cap
+        "train.beta1=0.9", "train.beta2=0.999", "train.eps=1e-8", "model.vit.eps=1e-5",
+        "model.resnet.bottleneck=4", "synth.max_emit_pixels=2200000",
     ])
-    def test_removed_config_key_exits_2(self, trained, override, capsys):
+    def test_removed_config_key_exits_2(self, trained, tmp_path, override, capsys):
         # a fixed 224x224 input, always-on norm and residual adds, 4-image eval chunks
         data, run = trained
-        rc = main(["train", "--manifest", str(data / "manifest.json"), "--arm", "ih-vit",
-                   "--out", str(run), "--set", override])
-        assert rc == 2
-        assert "unknown config key" in capsys.readouterr().err
+        dotted, _, value = override.partition("=")
+        doc = json.loads(value)
+        for key in reversed(dotted.split(".")):
+            doc = {key: doc}
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        for source in (["--set", override], ["--config", str(tmp_path / "cfg.json")]):
+            rc = main(["train", "--manifest", str(data / "manifest.json"), "--arm", "ih-vit",
+                       "--out", str(run)] + source)
+            assert rc == 2
+            assert "unknown config key" in capsys.readouterr().err
 
     def test_unknown_arm_exits_2(self, trained):
         data, run = trained
@@ -517,6 +548,9 @@ class TestTrainEval:
         (("config", "vit", "dim"), 16, "checkpoint tensor 'vit.cls' has shape"),
         (("config", "vit", "classes"), 7, "checkpoint tensor 'vit.head.w' has shape"),
         (("config",), {"arm": "ih-vit", "resnet": {"classes": 7}}, "ih-vit branch classes differ"),
+        # legacy fields, continued: the layernorm eps and the bottleneck ratio
+        (("config", "vit", "eps"), 1e-6, "vit.eps must be 1e-05, got 1e-06"),
+        (("config", "resnet"), {"bottleneck": 2}, "resnet.bottleneck must be 4, got 2"),
     ])
     def test_eval_on_mistyped_header_exits_3(self, trained, tmp_path, capsys,
                                              keys, value, message):
@@ -535,12 +569,13 @@ class TestTrainEval:
         assert message in capsys.readouterr().err
 
     def test_eval_on_legacy_header_reproduces_training_accuracy(self, trained, tmp_path, capsys):
-        # headers written before the fixed input size and the always-on
-        # norm and residual adds carry those fields at their fixed values
+        # headers written before the fixed input size, the always-on norm and
+        # residual adds, and the fixed layernorm eps and bottleneck ratio carry
+        # those fields at their fixed values
         data, run = trained
         header = checkpoint_header(run)
-        header["config"]["vit"]["image_size"] = 224
-        header["config"]["resnet"] = {"norm": True, "residual": True}
+        header["config"]["vit"].update(image_size=224, eps=1e-05)
+        header["config"]["resnet"] = {"norm": True, "residual": True, "bottleneck": 4}
         legacy = with_header(run, tmp_path, header)
         report = json.loads((run / "vit-conv.report.json").read_text())
         assert main(["eval", "--checkpoint", str(legacy),
@@ -585,7 +620,6 @@ class TestConfigHandling:
     def test_defaulted_document_is_valid(self):
         cfg = load_run_config(None, [])
         assert cfg.train.lr0 == 0.001
-        assert cfg.train.beta1 == 0.9
         assert cfg.train.weight_decay == 1e-4
         assert cfg.vit.dim == 75
         assert cfg.resnet.stage_widths == (32, 64, 128, 256)
@@ -627,3 +661,30 @@ class TestConfigHandling:
         d = default_config_dict()
         apply_override(d, "synth.counts.scratch=11")
         assert d["synth"]["counts"]["scratch"] == 11
+
+
+# past the JSON parser's recursion limit
+DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+def _checkpoint_with_header(raw: bytes) -> bytes:
+    return b"IHVT" + struct.pack("<IQ", 1, len(raw)) + raw
+
+
+@pytest.mark.parametrize("blob, argv, code", [
+    (b'{"train": {"seed": "\xff"}}', ["gen", "--out", "out", "--config", "doc"], 2),
+    (b'{"train": ' + DEEP + b"}", ["gen", "--out", "out", "--config", "doc"], 2),
+    # taken as a bare string, which the field's own check rejects
+    (b"", ["gen", "--out", "out", "--set", "train.epochs=" + DEEP.decode()], 2),
+    (b'{"version": 1, "seed": 0, "entries": ' + DEEP + b"}", ["split", "--manifest", "doc"], 3),
+    (_checkpoint_with_header(b'{"config": ' + DEEP + b', "tensors": []}'),
+     ["eval", "--checkpoint", "doc", "--manifest", "doc"], 3),
+], ids=["config-not-utf8", "config-too-deep", "set-too-deep", "manifest-too-deep",
+        "header-too-deep"])
+def test_malformed_json_prints_one_error_line(tmp_path, monkeypatch, capsys, blob, argv, code):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "doc").write_bytes(blob)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()

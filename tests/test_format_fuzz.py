@@ -1,11 +1,13 @@
-"""Truncated or mutated bytes of a valid checkpoint, PPM or manifest file.
+"""Truncated or mutated bytes of a valid checkpoint, PPM, manifest or config file.
 
 A reader may accept the bytes or reject them, but only with the errors the
 CLI maps to its documented exit codes: ``FormatError`` (3) or
-``InputError`` (2).  Anything else would end a command in a traceback.
+``InputError`` (2) for the data files, ``ConfigError`` (2) for a
+``--config`` file.  Anything else would end a command in a traceback.
 """
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -13,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ihvit.checkpoint import load_checkpoint, save_checkpoint
-from ihvit.errors import FormatError, InputError
+from ihvit.config import load_run_config
+from ihvit.errors import ConfigError, FormatError, InputError
 from ihvit.pipeline import Manifest, ManifestEntry, read_ppm, write_ppm
 
 
@@ -34,10 +37,23 @@ def _manifest(path):
     ]).save(path)
 
 
+def _config(path):
+    path.write_text(json.dumps({
+        "synth": {"seed": 3, "density": "chip_in_corner", "counts": {"normal": 4, "scratch": 2}},
+        "model": {"vit": {"depth": 2, "channels": [{"patch": 16, "embed": "linear"}]},
+                  "resnet": {"stage_widths": [32, 64, 128, 512]}},
+        "train": {"epochs": 3, "lr0": 0.01, "target_accuracy": None},
+        "fusion": {"a_vit": 0.5},
+    }))
+
+
+DATA_ERRORS = (FormatError, InputError)
+# name -> (write a valid file, read one, the errors the read may raise)
 FORMATS = {
-    "checkpoint": (_checkpoint, load_checkpoint),
-    "ppm": (_ppm, read_ppm),
-    "manifest": (_manifest, Manifest.load),
+    "checkpoint": (_checkpoint, load_checkpoint, DATA_ERRORS),
+    "ppm": (_ppm, read_ppm, DATA_ERRORS),
+    "manifest": (_manifest, Manifest.load, DATA_ERRORS),
+    "config": (_config, load_run_config, (ConfigError,)),
 }
 
 
@@ -61,7 +77,7 @@ def damaged(draw, blob: bytes) -> bytes:
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
 def test_damaged_file_raises_only_documented_errors(tmp_path, fmt):
-    write, read = FORMATS[fmt]
+    write, read, errors = FORMATS[fmt]
     good = tmp_path / "good"
     write(good)
     read(good)
@@ -76,7 +92,7 @@ def test_damaged_file_raises_only_documented_errors(tmp_path, fmt):
         bad.write_bytes(blob)
         try:
             read(bad)
-        except (FormatError, InputError):
+        except errors:
             pass
 
     check()

@@ -177,7 +177,7 @@ class TestAdam:
         assert np.array_equal(adam.params["w"].data, np.ones(4, dtype=np.float32))
 
     def test_first_step_is_bias_corrected(self):
-        adam = adam_on(np.zeros(1), np.ones(1), lr=0.01, eps=1e-8)
+        adam = adam_on(np.zeros(1), np.ones(1), lr=0.01)
         assert adam.params["w"].data[0] == pytest.approx(-0.01, rel=1e-6)
         assert adam.t == 1 and adam.params["w"].grad is None
 

@@ -243,14 +243,13 @@ def test_config_classes_cover_every_section():
 def test_every_numeric_field_declares_a_bound(cls):
     for f in fields(cls):
         if re.search(r"\b(int|float)\b", f.type):  # the annotation, a string
-            assert f.metadata and set(f.metadata) <= {"min", "above", "below"}, f.name
+            assert f.metadata and set(f.metadata) <= {"min", "above"}, f.name
         else:
             assert not f.metadata, f.name
 
 
 @pytest.mark.parametrize("make, message", [
     (lambda: TrainConfig(min_epochs=-3), "TrainConfig.min_epochs must be >= 1, got -3"),
-    (lambda: TrainConfig(beta2=1.0), "TrainConfig.beta2 must be >= 0 and < 1, got 1.0"),
     (lambda: TrainConfig(lr0=float("nan")), "TrainConfig.lr0 must be finite, got nan"),
     (lambda: TrainConfig(lr0="abc"), "TrainConfig.lr0 must be a number, got 'abc'"),
     (lambda: TrainConfig(weight_decay=True), "TrainConfig.weight_decay must be a number"),
@@ -273,5 +272,5 @@ def test_value_outside_its_domain_names_field_bound_and_value(make, message):
 
 
 def test_values_inside_their_domains_build():
-    TrainConfig(lr_min=0.0, beta1=0.0, beta2=0.0, weight_decay=0, target_accuracy=1.0)
+    TrainConfig(lr_min=0.0, weight_decay=0, target_accuracy=1.0)
     FusionWeights(1, 0.5)
