@@ -74,14 +74,14 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     for e in entries:
         _check_entry(path, e)
         if e["name"] in names:
-            raise FormatError(f"{path}: tensor {e['name']!r} is listed twice", offset=16)
+            raise FormatError(f"{path}: tensor {e['name']!r:.60} is listed twice", offset=16)
         names.add(e["name"])
         if e.get("dtype") != "f32":
-            raise FormatError(f"{path}: tensor {e['name']!r} has dtype {e.get('dtype')!r}; "
-                              f"the payload is f32-only", offset=16)
+            raise FormatError(f"{path}: tensor {e['name']!r:.60} has dtype "
+                              f"{e.get('dtype')!r:.60}; the payload is f32-only", offset=16)
         if e["offset"] != expected:
             raise FormatError(
-                f"{path}: tensor {e['name']!r} at offset {e['offset']}, expected {expected}",
+                f"{path}: tensor {e['name']!r:.60} at offset {e['offset']}, expected {expected}",
                 offset=16 + hlen + expected,
             )
         # Python ints: an int64 product wraps for a large enough shape
@@ -98,7 +98,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     if not finite.all():
         at = 4 * int(np.argmin(finite))
         name = [e["name"] for e in entries if e["offset"] <= at][-1]
-        raise FormatError(f"{path}: tensor {name!r} holds NaN or Inf", offset=16 + hlen + at)
+        raise FormatError(f"{path}: tensor {name!r:.60} holds NaN or Inf", offset=16 + hlen + at)
     params: dict[str, np.ndarray] = {}
     for e, size in zip(entries, sizes):
         raw = payload[e["offset"]:e["offset"] + size]

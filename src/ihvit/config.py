@@ -46,7 +46,7 @@ def _merge(base: dict, user, path: str = "") -> None:
     for key, value in user.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
-            raise ConfigError(f"unknown config key {where!r}")
+            raise ConfigError(f"unknown config key {where!r:.60}")
         if key == "counts":  # free-form class-count map, replaced wholesale
             base[key] = value
         elif isinstance(base[key], dict):
@@ -58,23 +58,24 @@ def _merge(base: dict, user, path: str = "") -> None:
 def apply_override(cfg: dict, spec: str) -> None:
     """Apply one --set override of the form section.key[.key]=value."""
     if "=" not in spec:
-        raise ConfigError(f"--set expects section.key=value, got {spec!r}")
+        raise ConfigError(f"--set expects section.key=value, got {spec!r:.60}")
     dotted, _, raw = spec.partition("=")
     keys = dotted.strip().split(".")
     node = cfg
     for k in keys[:-1]:
         if not isinstance(node, dict) or k not in node:
-            raise ConfigError(f"--set: unknown config path {dotted!r}")
+            raise ConfigError(f"--set: unknown config path {dotted!r:.60}")
         node = node[k]
     leaf = keys[-1]
     if not isinstance(node, dict):
-        raise ConfigError(f"--set: unknown config path {dotted!r}")
+        raise ConfigError(f"--set: unknown config path {dotted!r:.60}")
     if leaf not in node and keys[-2:-1] != ["counts"]:
-        raise ConfigError(f"--set: unknown config key {dotted!r}")
+        raise ConfigError(f"--set: unknown config key {dotted!r:.60}")
     try:
         node[leaf] = json.loads(raw)
-    except (json.JSONDecodeError, RecursionError):
-        # a bare string needs no quotes; one nested too deep meets its field's check
+    except (ValueError, RecursionError):
+        # a bare string needs no quotes; one nested too deep or with an integer
+        # too long to read meets its field's check
         node[leaf] = raw
 
 

@@ -57,7 +57,7 @@ class ManifestEntry:
         if "\0" in path:  # no file system takes it
             raise FormatError(f"{where}: field 'path' holds a NUL byte")
         if label < 0:
-            raise FormatError(f"{where}: field 'label' must be >= 0, got {label}")
+            raise FormatError(f"{where}: field 'label' must be >= 0, got {label!r:.60}")
         return cls(
             path=path,
             label=label,
@@ -91,13 +91,13 @@ class Manifest:
         paths = [e.path for e in self.entries]
         if len(set(paths)) != len(paths):
             dupes = sorted({p for p in paths if paths.count(p) > 1})
-            raise InputError(f"duplicate manifest paths: {dupes[:3]}")
+            raise InputError(f"duplicate manifest paths: {[p[:60] for p in dupes[:3]]}")
         for e in self.entries:
             if e.split not in ("none", "train", "test"):
-                raise InputError(f"bad split tag {e.split!r} for {e.path}")
+                raise InputError(f"bad split tag {e.split!r:.60} for {e.path:.60}")
             if (e.label == 0) != e.defect_free:
                 raise InputError(
-                    f"{e.path}: label {e.label} inconsistent with defect_free={e.defect_free}")
+                    f"{e.path:.60}: label {e.label} inconsistent with defect_free={e.defect_free}")
 
     def class_counts(self) -> dict[int, int]:
         counts: dict[int, int] = {}
@@ -121,11 +121,12 @@ class Manifest:
     @classmethod
     def load(cls, path) -> "Manifest":
         obj = read_json_object(Path(path).read_bytes(), f"{path}: manifest", FormatError)
-        if obj.get("version") != MANIFEST_SCHEMA_VERSION:
-            raise FormatError(f"unsupported manifest version {obj.get('version')!r}")
+        version = _field(obj, "version", int, str(path))
+        if version != MANIFEST_SCHEMA_VERSION:
+            raise FormatError(f"{path}: unsupported manifest version {version!r:.60}")
         seed = _field(obj, "seed", int, str(path))
         if seed < 0:  # the per-entry SeedSequence takes no negative seed
-            raise FormatError(f"{path}: field 'seed' must be >= 0, got {seed}")
+            raise FormatError(f"{path}: field 'seed' must be >= 0, got {seed!r:.60}")
         return cls(
             seed=seed,
             entries=[ManifestEntry.from_json(e) for e in _field(obj, "entries", list, str(path))],
@@ -166,8 +167,9 @@ def read_ppm(path) -> np.ndarray:
         if pos == start:
             raise FormatError(f"{path}: truncated header", offset=pos)
         token = data[start:pos]
-        if not token.isdigit():
-            raise FormatError(f"{path}: bad header token {token!r}", offset=start)
+        # int() takes signs too, and at most 4,300 digits; no real side has 19
+        if not token.isdigit() or len(token) > 18:
+            raise FormatError(f"{path}: bad header token {token!r:.60}", offset=start)
         fields.append(int(token))
         starts.append(start)
     w, h, maxval = fields

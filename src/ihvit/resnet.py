@@ -40,9 +40,6 @@ class ResNetConfig:
     classes: int = bounded(6, min=2)
 
     def __post_init__(self):
-        # a JSON document gives the stage lists as lists
-        self.stage_blocks = tuple(self.stage_blocks)
-        self.stage_widths = tuple(self.stage_widths)
         check_fields(self)
         if not self.stage_blocks or len(self.stage_blocks) != len(self.stage_widths):
             raise ConfigError("stage_blocks and stage_widths must be non-empty and of one length")

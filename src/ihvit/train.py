@@ -367,7 +367,7 @@ def arm_from_checkpoint(path) -> Arm:
             value = model[section].pop(key, fixed)
             if type(value) is not type(fixed) or value != fixed:
                 raise FormatError(f"{path}: header field {section}.{key} must be "
-                                  f"{json.dumps(fixed)}, got {json.dumps(value)}")
+                                  f"{json.dumps(fixed)}, got {json.dumps(value):.60}")
         vit_cfg = ViTConfig(**model["vit"])
         resnet_cfg = ResNetConfig(**model["resnet"])
         fusion = FusionWeights(**config.get("fusion", {}))
@@ -377,8 +377,8 @@ def arm_from_checkpoint(path) -> Arm:
     # a header that does not describe the file's tensors is a format fault
     params = arm.parameters()
     if set(raw) != set(params):
-        missing = sorted(set(params) ^ set(raw))
-        raise FormatError(f"{path}: checkpoint parameters do not match arm layout: {missing[:4]}")
+        missing = [k[:60] for k in sorted(set(params) ^ set(raw))[:4]]
+        raise FormatError(f"{path}: checkpoint parameters do not match arm layout: {missing}")
     for k, t in params.items():
         if tuple(raw[k].shape) != t.shape:
             raise FormatError(f"{path}: checkpoint tensor {k!r} has shape {raw[k].shape}, "

@@ -30,9 +30,9 @@ def worker_count() -> int:
     try:
         n = int(raw)
     except ValueError:
-        raise ConfigError(f"IHVIT_THREADS must be an integer, got {raw!r}") from None
+        raise ConfigError(f"IHVIT_THREADS must be an integer, got {raw!r:.60}") from None
     if n < 1:
-        raise ConfigError(f"IHVIT_THREADS must be >= 1, got {n}")
+        raise ConfigError(f"IHVIT_THREADS must be >= 1, got {raw.strip():.60}")
     return n
 
 
@@ -122,14 +122,15 @@ def write_atomic(path, chunks: Iterable[bytes]) -> None:
 
 def read_json_object(data: bytes, what: str, error: type[Exception], **at) -> dict:
     """The JSON object that ``data`` holds as UTF-8 text.  Bytes that are
-    not UTF-8, malformed JSON, nesting deeper than the parser's recursion
-    limit and any other JSON value raise ``error(message, **at)``, the
-    message naming ``what``; ``at`` is, say, a checkpoint header's offset."""
+    not UTF-8, malformed JSON, an integer longer than ``int`` reads (4,300
+    digits), nesting deeper than the parser's recursion limit and any other
+    JSON value raise ``error(message, **at)``, the message naming ``what``;
+    ``at`` is, say, a checkpoint header's offset."""
     try:
         obj = json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as e:
         raise error(f"{what} is not UTF-8: {e}", **at) from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer too long to read
         raise error(f"{what} is not valid JSON: {e}", **at) from None
     except RecursionError:
         raise error(f"{what} is nested too deeply to parse", **at) from None
@@ -138,52 +139,79 @@ def read_json_object(data: bytes, what: str, error: type[Exception], **at) -> di
     return obj
 
 
-# what a bounded field may declare: bound -> (symbol, test a number must pass)
+# what a field may declare of a number: bound -> (symbol, test the number must pass)
 _BOUNDS = {"min": (">=", operator.ge), "above": (">", operator.gt)}
 
 
 def bounded(default, **domain):
-    """A dataclass field with ``default`` whose numbers :func:`check_fields`
-    checks against ``domain``: ``min`` (inclusive) or ``above``."""
+    """A dataclass field with ``default`` whose value :func:`check_fields`
+    reads in the shape of ``default`` and checks against ``domain``: ``min``
+    (inclusive) or ``above`` for numbers, ``among`` (the names allowed) for
+    names."""
     if isinstance(default, dict):
         return field(default_factory=partial(dict, default), metadata=domain)
     return field(default=default, metadata=domain)
 
 
-def _leaves(v) -> list:
-    """The scalars in ``v``, through nested tuples and dict values."""
-    if isinstance(v, dict):
-        v = tuple(v.values())
-    if isinstance(v, tuple):
-        return [leaf for item in v for leaf in _leaves(item)]
-    return [v]
+def _decode(v, default, leaves: list):
+    """``v`` in the shape of ``default``, its scalars appended to ``leaves``:
+    for a dict default a dict, whose values are the scalars; for a tuple
+    default a list or tuple, as a tuple of items each decoded like
+    ``default[0]``; for a scalar default ``v`` itself, whatever it is.  A
+    value that is not the container its default is raises ``TypeError``."""
+    if isinstance(default, dict) and isinstance(v, dict):
+        leaves.extend(v.values())
+        return dict(v)
+    if isinstance(default, tuple) and isinstance(v, (list, tuple)):
+        return tuple(_decode(x, default[0], leaves) for x in v)
+    if isinstance(default, (dict, tuple)):
+        raise TypeError
+    leaves.append(v)
+    return v
 
 
 def check_fields(cfg) -> None:
-    """Raise ``ConfigError`` where a :func:`bounded` field of the dataclass
-    ``cfg`` holds a value outside its domain.
+    """Read each :func:`bounded` field of the dataclass ``cfg`` in the shape
+    of its default (a list as a tuple, to the default's depth), and raise
+    ``ConfigError`` where it holds a value of another shape or outside its
+    domain, naming the field, the domain and the value cut to 60 characters.
 
-    A field whose default is an int, or a tuple or dict of ints, takes ints
-    only: JSON has one number type, so ``1.5`` or ``true`` can reach a count
-    or a size.  Other bounded fields take ints and floats (and None where
-    that is the default).  Every number must be finite and within bounds.
+    A field declaring ``among`` takes only those names.  A field whose
+    default holds ints takes ints only: JSON has one number type, so ``1.5``
+    or ``true`` can reach a count or a size.  Other fields take ints and
+    floats (and None where that is the default), finite and within bounds.
     """
     for f in fields(cfg):
         v = getattr(cfg, f.name)
         if not f.metadata or (v is None and f.default is None):
             continue
         default = f.default if f.default_factory is MISSING else f.default_factory()
-        integral = all(type(d) is int for d in _leaves(default))
-        one = not isinstance(v, (tuple, dict))
-        domain = " and ".join(f"{_BOUNDS[k][0]} {b}" for k, b in f.metadata.items())
-        for x in _leaves(v):
-            if integral and type(x) is not int:  # bool subclasses int
+        one = not isinstance(default, (tuple, dict))
+        defaults, leaves = [], []
+        _decode(default, default, defaults)
+        try:
+            v = _decode(v, default, leaves)
+        except TypeError:
+            shape = ("an object" if isinstance(default, dict) else
+                     "a list of lists" if isinstance(default[0], tuple) else "a list")
+            raise ConfigError(f"{type(cfg).__name__}.{f.name} must be {shape}, "
+                              f"got {v!r:.60}") from None
+        object.__setattr__(cfg, f.name, v)  # a frozen dataclass too
+        among = f.metadata.get("among")
+        integral = all(type(d) is int for d in defaults)
+        for x in leaves:
+            if among is not None:
+                if x in among:
+                    continue
+                must = f"be one of {among}" if one else f"hold only names in {among}"
+            elif integral and type(x) is not int:  # bool subclasses int
                 must = "be an integer" if one else "hold only integers"
             elif type(x) is bool or not isinstance(x, (int, float)):
                 must = "be a number" if one else "hold only numbers"
             elif isinstance(x, float) and not math.isfinite(x):  # an int is finite
                 must = "be finite" if one else "hold only finite numbers"
             elif not all(_BOUNDS[k][1](x, b) for k, b in f.metadata.items()):
+                domain = " and ".join(f"{_BOUNDS[k][0]} {b}" for k, b in f.metadata.items())
                 must = f"be {domain}" if one else f"hold only numbers {domain}"
             else:
                 continue

@@ -50,12 +50,10 @@ class ChannelSpec:
     """One segmentation channel: patch size and embedding path."""
 
     patch: int = bounded(16, min=2)
-    embed: str = "convblock"
+    embed: str = bounded("convblock", among=tuple(EMBED_PATHS))
 
     def __post_init__(self):
         check_fields(self)
-        if self.embed not in EMBED_PATHS:
-            raise ConfigError(f"unknown embed path {self.embed!r}; expected {tuple(EMBED_PATHS)}")
 
     def conv_spatial(self) -> tuple[int, int]:
         """(after-conv, after-pool) spatial extents for the conv paths."""

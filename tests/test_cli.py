@@ -124,6 +124,16 @@ class TestGen:
         assert rc == 2
         assert "must hold only integers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", [
+        'synth.seed={"a":1}', 'synth.noise_sigma={"x":1}', 'synth.classes=["normal","scratch#1"]',
+        "synth.density=sparse",
+    ])
+    def test_value_outside_its_field_exits_2_without_writing(self, tmp_path, override, capsys):
+        rc = main(["gen", "--out", str(tmp_path / "x")] + SMALL_SYNTH + ["--set", override])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: SynthConfig.")
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         bad = tmp_path / "cfg.json"
         bad.write_text('{"synht": {}}')
@@ -368,6 +378,9 @@ class TestTrainEval:
         'model.resnet={"stage_blocks": [], "stage_widths": []}',
         "model.resnet.stage_blocks=[1,1,1,0]", "model.vit.channels=[]",
         "train.min_epochs=-3", "train.lr0=true",
+        # a value of another shape than the field's default
+        'fusion.a_vit={"x":1}', "model.resnet.stage_blocks=[[1],[1],[1],[1]]",
+        'model.vit.channels=[{"patch": 16, "embed": "conv"}]',
     ])
     def test_mistyped_config_value_exits_2(self, trained, override, capsys):
         data, run = trained
@@ -375,6 +388,16 @@ class TestTrainEval:
                    "--out", str(run), "--set", override])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_object_in_a_scalar_field_exits_2(self, trained, tmp_path, capsys):
+        # a field is read in the shape of its default, so an int takes no object
+        data, run = trained
+        (tmp_path / "cfg.json").write_text('{"train": {"epochs": {"a": 1}}}')
+        for source in (["--set", 'train.epochs={"a":1}'], ["--config", str(tmp_path / "cfg.json")]):
+            rc = main(["train", "--manifest", str(data / "manifest.json"), "--arm", "vit",
+                       "--out", str(run)] + source)
+            assert rc == 2
+            assert "TrainConfig.epochs must be an integer, got {'a': 1}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override", GENERATED)
     def test_generated_value_exits_0_or_2(self, trained, tmp_path, override, capsys):
@@ -688,3 +711,63 @@ def test_malformed_json_prints_one_error_line(tmp_path, monkeypatch, capsys, blo
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+LONG = "x" * 5000
+DIGITS = "1" * 5000
+N = 2500  # resolutions and weights whose --set values run 5,000 characters
+
+
+def _manifest(**entry) -> bytes:
+    entry = {"path": "a.ppm", "label": 1, "defect_free": False, **entry}
+    return json.dumps({"version": 1, "seed": 0, "entries": [entry]}).encode()
+
+
+def _tensors(*entries) -> bytes:
+    return _checkpoint_with_header(json.dumps({"config": {}, "tensors": entries}).encode())
+
+
+GEN = ["gen", "--out", "out"]
+EVAL = ["eval", "--checkpoint", "doc", "--manifest", "doc"]
+
+
+@pytest.mark.parametrize("files, argv, env, code", [
+    ({"doc": _manifest(), "a.ppm": f"P6 {LONG} 1 255 ".encode()},
+     ["augment", "--manifest", "doc"], {}, 3),
+    ({"doc": _manifest(), "a.ppm": f"P6 {DIGITS} 1 255 ".encode()},
+     ["augment", "--manifest", "doc"], {}, 3),
+    ({"doc": json.dumps({"version": LONG, "seed": 0, "entries": []}).encode()},
+     ["split", "--manifest", "doc"], {}, 3),
+    ({"doc": b'{"version": 1, "seed": ' + DIGITS.encode() + b', "entries": []}'},
+     ["split", "--manifest", "doc"], {}, 3),
+    ({"doc": _manifest(split=LONG)}, ["split", "--manifest", "doc"], {}, 2),
+    ({"doc": _manifest(path=LONG, label=0)}, ["split", "--manifest", "doc"], {}, 2),
+    ({}, GEN + ["--set", LONG], {}, 2),
+    ({}, GEN + ["--set", f"nope.{LONG}.k=1"], {}, 2),
+    ({}, GEN + ["--set", f"train.{LONG}=1"], {}, 2),
+    ({}, GEN + ["--set", f"train.epochs={DIGITS}"], {}, 2),
+    ({"doc": json.dumps({"train": {LONG: 1}}).encode()}, GEN + ["--config", "doc"], {}, 2),
+    ({"doc": _tensors(*[{"name": LONG, "shape": [1], "dtype": "f32", "offset": 4 * i}
+                        for i in range(2)])}, EVAL, {}, 3),
+    ({"doc": _tensors({"name": "a", "shape": [1], "dtype": LONG, "offset": 0})}, EVAL, {}, 3),
+    ({}, GEN + SMALL_SYNTH, {"IHVIT_THREADS": LONG}, 2),
+    ({}, GEN + ["--set", f"synth.resolutions={[[64, 64]] * N}",
+                "--set", f"synth.resolution_weights={[0] * N}"], {}, 2),
+    ({}, GEN + ["--set", "synth.classes=" + json.dumps(["normal"] + 2 * ["scratch#" + DIGITS])],
+     {}, 2),
+    ({}, GEN + ["--set", 'synth.counts={"normal": 1, "%s": 1}' % LONG], {}, 2),
+    ({}, GEN + ["--set", f"synth.density={LONG}"], {}, 2),
+], ids=["ppm-token", "ppm-digits", "manifest-version", "manifest-number", "split-tag",
+        "entry-path", "set-spec", "set-path", "set-key", "set-number", "config-key",
+        "tensor-name", "tensor-dtype", "threads", "weights", "class-names", "counts", "density"])
+def test_long_value_is_cut_in_one_error_line(tmp_path, monkeypatch, capsys, files, argv, env,
+                                             code):
+    # every value echoed from outside is cut to 60 characters
+    monkeypatch.chdir(tmp_path)
+    for name, blob in files.items():
+        (tmp_path / name).write_bytes(blob)
+    for k, v in env.items():
+        monkeypatch.setenv(k, v)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 400

@@ -519,6 +519,8 @@ class TestManifest:
             Manifest(seed=0, entries=[ManifestEntry("d2.ppm", label, defect_free)])
 
     def test_unknown_version_rejected(self, tmp_path):
-        (tmp_path / "m.json").write_text('{"version": 99, "seed": 0, "entries": []}')
-        with pytest.raises(FormatError, match="version"):
-            Manifest.load(tmp_path / "m.json")
+        # version is the integer 1, so neither true nor 1.0 stands in for it
+        for version in ("99", "true", "1.0"):
+            (tmp_path / "m.json").write_text(f'{{"version": {version}, "seed": 0, "entries": []}}')
+            with pytest.raises(FormatError, match="version"):
+                Manifest.load(tmp_path / "m.json")

@@ -241,9 +241,12 @@ def test_config_classes_cover_every_section():
 
 @pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda cls: cls.__name__)
 def test_every_numeric_field_declares_a_bound(cls):
+    # and every name field the names it takes
     for f in fields(cls):
         if re.search(r"\b(int|float)\b", f.type):  # the annotation, a string
             assert f.metadata and set(f.metadata) <= {"min", "above"}, f.name
+        elif re.search(r"\bstr\b", f.type):
+            assert set(f.metadata) == {"among"}, f.name
         else:
             assert not f.metadata, f.name
 
@@ -264,6 +267,20 @@ def test_every_numeric_field_declares_a_bound(cls):
      "SynthConfig.counts must hold only numbers >= 0"),
     (lambda: ViTConfig(channels=({"patch": 1, "embed": "linear"},)),
      "ChannelSpec.patch must be >= 2, got 1"),
+    # names, and values of another shape than the field's default
+    (lambda: SynthConfig(density="sparse"),
+     "SynthConfig.density must be one of ('balanced', 'chip_in_corner'), got 'sparse'"),
+    (lambda: ChannelSpec(embed="conv"),
+     "ChannelSpec.embed must be one of ('convblock', 'conv_only', 'linear'), got 'conv'"),
+    (lambda: SynthConfig(classes=["normal", "scratch#1"]),
+     "SynthConfig.classes must hold only names in ('normal', 'scratch', "),
+    (lambda: TrainConfig(epochs={"a": 1}), "TrainConfig.epochs must be an integer, got {'a': 1}"),
+    (lambda: ResNetConfig(stage_blocks=[[1], [1], [1], [1]]),
+     "ResNetConfig.stage_blocks must hold only integers, got ([1], [1], [1], [1])"),
+    (lambda: SynthConfig(resolutions=[64, 64]),
+     "SynthConfig.resolutions must be a list of lists, got [64, 64]"),
+    (lambda: SynthConfig(counts=[["normal", 1]]),
+     "SynthConfig.counts must be an object, got [['normal', 1]]"),
 ])
 def test_value_outside_its_domain_names_field_bound_and_value(make, message):
     with pytest.raises(ConfigError) as exc:
