@@ -26,13 +26,12 @@ MAGIC = b"IHVT"
 FORMAT_VERSION = 1
 
 
-def save_checkpoint(params: dict[str, Tensor | np.ndarray], config: dict, path) -> None:
+def save_checkpoint(params: dict[str, Tensor], config: dict, path) -> None:
     entries = []
     blobs = []
     offset = 0
     for name in sorted(params):
-        value = params[name]
-        arr = value.data if isinstance(value, Tensor) else np.asarray(value)
+        arr = params[name].data
         if arr.dtype != np.float32:
             raise UsageError(
                 f"checkpoint payload is f32-only; parameter {name!r} has dtype {arr.dtype}"

@@ -101,7 +101,10 @@ def load_run_config(path=None, overrides: list[str] | None = None,
         _merge(merged, read_json_object(Path(path).read_bytes(), f"config {path}", ConfigError))
     for spec in overrides or ():
         apply_override(merged, spec)
+    # a --set may replace a section: read each one back as a --config file's
+    checked = default_config_dict()
+    _merge(checked, merged)
     if seed is not None:
-        merged["synth"]["seed"] = seed
-        merged["train"]["seed"] = seed
-    return _construct(merged)
+        checked["synth"]["seed"] = seed
+        checked["train"]["seed"] = seed
+    return _construct(checked)

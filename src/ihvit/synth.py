@@ -62,6 +62,9 @@ class SynthConfig:
 
     def __post_init__(self):
         check_fields(self)
+        if any(len(r) != 2 for r in self.resolutions):
+            raise ConfigError(f"SynthConfig.resolutions must be a list of [w, h] pairs, "
+                              f"got {self.resolutions!r:.60}")
         if len(self.resolutions) != len(self.resolution_weights):
             raise ConfigError("resolution pool and weights differ in length")
         if not 0 < sum(self.resolution_weights) < math.inf:

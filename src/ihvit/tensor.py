@@ -373,14 +373,13 @@ def slice_(a: Tensor, key) -> Tensor:
     return _apply("slice", np.ascontiguousarray(out), (a,), bwd, check=False)
 
 
-def _reduce(op: str, a: Tensor, out: np.ndarray, axis, keepdims: bool,
-            c: float = 1.0) -> Tensor:
+def _reduce(op: str, a: Tensor, out: np.ndarray, axis, c: float = 1.0) -> Tensor:
     """Record a sum-like reduction: the gradient is ``c`` times the
     incoming one, spread back over the reduced axes."""
     shape = a.shape
 
     def bwd(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         if c != 1.0:
             g = g * g.dtype.type(c)
@@ -389,15 +388,14 @@ def _reduce(op: str, a: Tensor, out: np.ndarray, axis, keepdims: bool,
     return _apply(op, out, (a,), bwd)
 
 
-def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    return _reduce("sum", a, a.data.sum(axis=axis, keepdims=keepdims), axis, keepdims)
+def sum_(a: Tensor, axis=None) -> Tensor:
+    return _reduce("sum", a, a.data.sum(axis=axis), axis)
 
 
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def mean(a: Tensor, axis=None) -> Tensor:
     ax = range(a.ndim) if axis is None else (axis,) if isinstance(axis, int) else axis
     count = int(np.prod([a.shape[i] for i in ax]))
-    return _reduce("mean", a, a.data.mean(axis=axis, keepdims=keepdims), axis, keepdims,
-                   1.0 / count)
+    return _reduce("mean", a, a.data.mean(axis=axis), axis, 1.0 / count)
 
 
 # ---------------------------------------------------------------------------
@@ -550,12 +548,12 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 # ---------------------------------------------------------------------------
 # normalization
 
+# the variance guard of every layernorm and instance norm
+_NORM_EPS = 1e-5
 
-def _normalize(op: str, x: Tensor, gamma: Tensor, beta: Tensor, eps: float,
-               axes, ch: int) -> Tensor:
+
+def _normalize(op: str, x: Tensor, gamma: Tensor, beta: Tensor, axes, ch: int) -> Tensor:
     """Zero-mean, unit-variance over ``axes``, then a per-entry affine along axis ``ch``."""
-    if eps <= 0:
-        raise UsageError(f"{op}: eps must be > 0, got {eps}")
     _check_dtypes(op, x, gamma, beta)
     c = x.shape[ch]
     if gamma.shape != (c,) or beta.shape != (c,):
@@ -566,7 +564,8 @@ def _normalize(op: str, x: Tensor, gamma: Tensor, beta: Tensor, eps: float,
     g_ = gamma.data.reshape(shape)
     xhat = x.data - x.data.mean(axis=axes, keepdims=True)
     # the same sums, in the same order, as np.var
-    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=axes, keepdims=True) + x.data.dtype.type(eps))
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=axes, keepdims=True)
+                        + x.data.dtype.type(_NORM_EPS))
     xhat *= inv
     out = xhat * g_ + beta.data.reshape(shape)
     factored = ch not in {i % x.ndim for i in np.atleast_1d(axes)}  # gamma constant over axes
@@ -590,12 +589,12 @@ def _normalize(op: str, x: Tensor, gamma: Tensor, beta: Tensor, eps: float,
     return _apply(op, out, (x, gamma, beta), bwd)
 
 
-def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Per-token normalization over the last axis, then affine."""
-    return _normalize("layernorm", x, gamma, beta, eps, -1, -1)
+    return _normalize("layernorm", x, gamma, beta, -1, -1)
 
 
-def instance_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def instance_norm2d(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Per-channel normalization over each instance's spatial dims.
 
     Batch-statistics-free, so batches of 1 behave identically to larger
@@ -603,7 +602,7 @@ def instance_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -
     """
     if x.ndim != 4:
         raise ShapeError(f"instance_norm2d: expected 4-D input, got {x.shape}")
-    return _normalize("instance_norm2d", x, gamma, beta, eps, (2, 3), 1)
+    return _normalize("instance_norm2d", x, gamma, beta, (2, 3), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -776,14 +775,12 @@ def _conv2d_dense(tensors: tuple[Tensor, ...], stride: int, pad: int, oh: int,
     return _apply("conv2d", out, tensors, bwd)
 
 
-def maxpool2d(x: Tensor, k: int, stride: int | None = None, pad: int = 0) -> Tensor:
+def maxpool2d(x: Tensor, k: int, stride: int, pad: int = 0) -> Tensor:
     """Max pooling; padding uses a -inf sentinel so padded cells never win.
 
     On a tape it keeps the unpadded input and the output; the backward
     rebuilds the padded windows.
     """
-    if stride is None:
-        stride = k
     if x.ndim != 4:
         raise ShapeError(f"maxpool2d: expected 4-D input, got {x.shape}")
     if pad >= k:

@@ -21,7 +21,7 @@ from .errors import ConfigError, FormatError, InputError
 from .pipeline import Manifest, read_ppm, _resize_array
 from .resnet import BOTTLENECK, ResNetBranch, ResNetConfig
 from .tensor import Tape, Tensor, NumericsError, UsageError, cross_entropy
-from .util import bounded, check_fields, run_all, write_atomic
+from .util import _build, bounded, check_fields, run_all, write_atomic
 from .vit import IMAGE_SIZE, ChannelSpec, ViTBranch, ViTConfig
 
 ARM_ORDER = ("resnet", "vit", "vit-conv", "vit-2ch", "ih-vit")
@@ -111,10 +111,10 @@ def combined_loss(losses, weights=None) -> Tensor:
 
 
 def decision_fuse(probs_resnet, probs_vit, weights: FusionWeights | None = None):
-    """Weighted average of branch probability vectors; argmax prediction.
+    """Weighted average of [B, K] branch probabilities; argmax prediction.
 
-    Accepts [K] vectors or [B, K] batches; ties break toward the lowest
-    class id.  Inputs must already be softmax outputs.
+    Ties break toward the lowest class id.  Inputs must already be softmax
+    outputs.
     """
     weights = weights or FusionWeights()
     p_r = np.asarray(probs_resnet, dtype=np.float64)
@@ -126,10 +126,7 @@ def decision_fuse(probs_resnet, probs_vit, weights: FusionWeights | None = None)
         if np.abs(sums - 1.0).max() > 1e-6 or p.min() < -1e-9:
             raise InputError(f"decision_fuse: {name} input is not a probability vector")
     fused = (weights.a_resnet * p_r + weights.a_vit * p_v) / (weights.a_resnet + weights.a_vit)
-    pred = np.argmax(fused, axis=-1)
-    if fused.ndim == 1:
-        return fused, int(pred)
-    return fused, pred
+    return fused, np.argmax(fused, axis=-1)
 
 
 def cosine_lr(step: int, total_steps: int, lr0: float, lr_min: float = 0.0) -> float:
@@ -349,9 +346,8 @@ def build_arm(name: str, vit_cfg: ViTConfig, resnet_cfg: ResNetConfig,
 
 # model fields that older checkpoint headers carry, each with the one value
 # the code implements; a header holding another value cannot be built
-_LEGACY_FIELDS = {("vit", "image_size"): IMAGE_SIZE, ("vit", "eps"): 1e-5,
-                  ("resnet", "norm"): True, ("resnet", "residual"): True,
-                  ("resnet", "bottleneck"): BOTTLENECK}
+_LEGACY_FIELDS = {"vit": {"image_size": IMAGE_SIZE, "eps": 1e-5},
+                  "resnet": {"norm": True, "residual": True, "bottleneck": BOTTLENECK}}
 
 
 def arm_from_checkpoint(path) -> Arm:
@@ -362,16 +358,19 @@ def arm_from_checkpoint(path) -> Arm:
     if name not in ARM_ORDER:
         raise FormatError(f"{path}: checkpoint has unknown arm {name!r:.60}")
     try:
-        model = {k: {**(config.get(k) or {})} for k in ("vit", "resnet")}
-        for (section, key), fixed in _LEGACY_FIELDS.items():
-            value = model[section].pop(key, fixed)
-            if type(value) is not type(fixed) or value != fixed:
-                raise FormatError(f"{path}: header field {section}.{key} must be "
-                                  f"{json.dumps(fixed)}, got {json.dumps(value):.60}")
-        vit_cfg = ViTConfig(**model["vit"])
-        resnet_cfg = ResNetConfig(**model["resnet"])
-        fusion = FusionWeights(**config.get("fusion", {}))
-        arm = build_arm(name, vit_cfg, resnet_cfg, fusion=fusion, seed=0)
+        model = {}
+        for section, cls in (("vit", ViTConfig), ("resnet", ResNetConfig),
+                             ("fusion", FusionWeights)):
+            values = {} if config.get(section) is None else config[section]
+            if isinstance(values, dict):  # _build names a section of another kind
+                values = {**values}
+                for key, fixed in _LEGACY_FIELDS.get(section, {}).items():
+                    value = values.pop(key, fixed)
+                    if type(value) is not type(fixed) or value != fixed:
+                        raise FormatError(f"{path}: header field {section}.{key} must be "
+                                          f"{json.dumps(fixed)}, got {json.dumps(value):.60}")
+            model[section] = _build(cls, values, f"section {section}")
+        arm = build_arm(name, model["vit"], model["resnet"], fusion=model["fusion"], seed=0)
     except (ConfigError, TypeError, ValueError) as e:  # a header value outside its domain
         raise FormatError(f"{path}: invalid model config in header: {e}") from None
     # a header that does not describe the file's tensors is a format fault

@@ -139,6 +139,19 @@ def read_json_object(data: bytes, what: str, error: type[Exception], **at) -> di
     return obj
 
 
+def _build(cls, values, where: str):
+    """``cls(**values)`` for the dataclass ``cls``; ``ConfigError`` names
+    ``where`` if ``values`` is not a dict, or its first key that names no
+    field of ``cls``, cut to 60 characters."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"{where} must be an object, got {values!r:.60}")
+    names = {f.name for f in fields(cls)}
+    for key in values:
+        if key not in names:
+            raise ConfigError(f"{where} has unknown key {key!r:.60}")
+    return cls(**values)
+
+
 # what a field may declare of a number: bound -> (symbol, test the number must pass)
 _BOUNDS = {"min": (">=", operator.ge), "above": (">", operator.gt)}
 

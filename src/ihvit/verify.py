@@ -1,9 +1,12 @@
 """Release-gate invariant battery behind ``ihvit verify``.
 
 Each check returns a detail string or raises; the CLI prints one row per
-check and exits nonzero if any fail.  The pytest suite runs the same
-ground more exhaustively; this battery is the quick self-contained gate.
-The brute-force oracles below are the one reference both use.
+check and exits nonzero if any fail.  Each check calls the code in the
+form the model runs it: patchify and decision_fuse take a batch, and the
+compression figures are read off the widths the model's own 16-pixel
+channels embed to.  The pytest suite runs the same ground more
+exhaustively; this battery is the quick self-contained gate.  The
+brute-force oracles below are the one reference both use.
 """
 
 from __future__ import annotations
@@ -21,16 +24,7 @@ from .pipeline import augment_all, read_ppm, write_ppm
 from .resnet import ResNetBranch, ResNetConfig
 from .tensor import Tensor, grad_check
 from .train import FusionWeights, combined_loss, cosine_lr, decision_fuse
-from .vit import (
-    ChannelSpec,
-    ViTBranch,
-    ViTConfig,
-    compression_ratio,
-    element_saving,
-    format_ratio_percent,
-    multi_head_attention,
-    patchify,
-)
+from .vit import ChannelSpec, ViTBranch, ViTConfig, multi_head_attention, patchify
 
 
 def _require(ok: bool, detail: str) -> str:
@@ -252,11 +246,11 @@ def check_oracle_attention() -> str:
 
 
 def check_shape_tokens() -> str:
-    img = Tensor(np.zeros((3, 224, 224), dtype=np.float32))
-    p16 = patchify(img, 16)
-    p32 = patchify(img, 32)
-    return _require(p16.shape[0] == 196 and p32.shape[0] == 49,
-                    f"tokens P16={p16.shape[0]}, P32={p32.shape[0]}")
+    imgs = Tensor(np.zeros((2, 3, 224, 224), dtype=np.float32))
+    p16 = patchify(imgs, 16)
+    p32 = patchify(imgs, 32)
+    ok = p16.shape == (2, 196, 3, 16, 16) and p32.shape == (2, 49, 3, 32, 32)
+    return _require(ok, f"tokens P16={p16.shape[1]}, P32={p32.shape[1]}")
 
 
 def check_shape_embeds() -> str:
@@ -285,10 +279,12 @@ def check_shape_resnet50() -> str:
 
 
 def check_compression() -> str:
-    ratio = compression_ratio(768, 75)
-    saving = element_saving(768, 75, 196)
-    ok = ratio == 0.09765625 and format_ratio_percent(ratio) == "9.77%" and saving == 135828
-    return _require(ok, f"ratio {ratio} = {format_ratio_percent(ratio)} "
+    conv = ChannelSpec(16, "convblock")
+    flat = ChannelSpec(16, "linear").raw_dim
+    ratio = conv.raw_dim / flat
+    saving = (flat - conv.raw_dim) * conv.token_count()
+    ok = ratio == 0.09765625 and f"{ratio:.2%}" == "9.77%" and saving == 135828
+    return _require(ok, f"ratio {ratio} = {ratio:.2%} "
                         f"(reference rounds to 9.76%); per-image saving {saving}")
 
 
@@ -344,11 +340,11 @@ def check_fusion_contracts() -> str:
     ok = combined_loss([l1, l2], [1, 1]).item() == 0.7
     ok = ok and cosine_lr(0, 100, 0.001) == 0.001 and cosine_lr(100, 100, 0.001) == 0.0
     rng = np.random.default_rng(304)
-    p = T.softmax(Tensor(rng.normal(size=4), dtype="f64")).data
-    q = T.softmax(Tensor(rng.normal(size=4), dtype="f64")).data
+    p = T.softmax(Tensor(rng.normal(size=(3, 4)), dtype="f64")).data
+    q = T.softmax(Tensor(rng.normal(size=(3, 4)), dtype="f64")).data
     f1, pred1 = decision_fuse(p, q, FusionWeights(1.0, 1.0))
     f2, pred2 = decision_fuse(p, q, FusionWeights(3.0, 3.0))
-    ok = ok and abs(f1.sum() - 1) <= 1e-6 and pred1 == pred2
+    ok = ok and np.abs(f1.sum(axis=-1) - 1).max() <= 1e-6 and np.array_equal(pred1, pred2)
     return _require(ok, "combined_loss(0.6,0.8)=0.7; cosine endpoints; fuse scale-invariant")
 
 

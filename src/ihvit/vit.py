@@ -34,7 +34,7 @@ from .tensor import (
     layernorm,
     transpose,
 )
-from .util import bounded, check_fields
+from .util import _build, bounded, check_fields
 
 # each embed path's steps before the unify projection: (convolves, pools)
 EMBED_PATHS = {"convblock": (True, True), "conv_only": (True, False), "linear": (False, False)}
@@ -84,16 +84,17 @@ class ViTConfig:
 
     def __post_init__(self):
         # a JSON document gives channels as a list of {patch, embed} objects
-        self.channels = tuple(ChannelSpec(**ch) if isinstance(ch, dict) else ch
-                              for ch in self.channels)
+        if not isinstance(self.channels, (list, tuple)):
+            raise ConfigError(f"ViTConfig.channels must be a list, got {self.channels!r:.60}")
+        self.channels = tuple(ch if isinstance(ch, ChannelSpec)
+                              else _build(ChannelSpec, ch, f"ViTConfig.channels[{i}]")
+                              for i, ch in enumerate(self.channels))
         check_fields(self)
         if not self.channels:
             raise ConfigError("channels must not be empty")
         if self.dim % self.heads != 0:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
         for ch in self.channels:
-            if not isinstance(ch, ChannelSpec):
-                raise ConfigError(f"channel must be a {{patch, embed}} object, got {ch!r:.60}")
             if IMAGE_SIZE % ch.patch != 0:
                 raise ConfigError(f"patch size {ch.patch} does not divide image size {IMAGE_SIZE}")
 
@@ -103,24 +104,15 @@ class ViTConfig:
 
 
 def patchify(img: Tensor, patch: int) -> Tensor:
-    """Non-overlapping row-major tiling; [3,S,S] -> [(S/P)^2, 3, P, P].
-
-    A batched input [B,3,S,S] yields [B, (S/P)^2, 3, P, P].
-    """
-    batched = img.ndim == 4
-    if not batched and img.ndim != 3:
-        raise ShapeError(f"patchify: expected [3,S,S] or [B,3,S,S], got {img.shape}")
-    s = img.shape[-1]
-    if img.shape[-2] != s or img.shape[-3] != 3:
+    """Non-overlapping row-major tiling; [B,3,S,S] -> [B, (S/P)^2, 3, P, P]."""
+    if img.ndim != 4:
+        raise ShapeError(f"patchify: expected [B,3,S,S], got {img.shape}")
+    b, c, h, s = img.shape
+    if h != s or c != 3:
         raise ShapeError(f"patchify: expected square RGB input, got {img.shape}")
     if s % patch != 0:
         raise ConfigError(f"patchify: patch {patch} does not divide image size {s}")
     n_side = s // patch
-    if not batched:
-        x = reshape(img, (3, n_side, patch, n_side, patch))
-        x = transpose(x, (1, 3, 0, 2, 4))
-        return reshape(x, (n_side * n_side, 3, patch, patch))
-    b = img.shape[0]
     x = reshape(img, (b, 3, n_side, patch, n_side, patch))
     x = transpose(x, (0, 2, 4, 1, 3, 5))
     return reshape(x, (b, n_side * n_side, 3, patch, patch))
@@ -291,23 +283,3 @@ class ViTBranch:
         cls_row = reshape(self.params["cls"], (1, 1, self.config.dim))
         return self.head([self.channel_feature(images, i, cls_row)
                           for i in range(len(self.config.channels))])
-
-
-# ---------------------------------------------------------------------------
-# compression accounting
-
-
-def compression_ratio(raw_dim: int, conv_dim: int) -> float:
-    """Embedded size over raw flattened size (75/768 = 0.09765625)."""
-    if raw_dim <= 0 or conv_dim <= 0:
-        raise ConfigError("compression_ratio: dims must be positive")
-    return conv_dim / raw_dim
-
-
-def format_ratio_percent(ratio: float) -> str:
-    return f"{ratio * 100:.2f}%"
-
-
-def element_saving(raw_dim: int, conv_dim: int, tokens: int) -> int:
-    """Per-image element saving of conv embedding vs raw flatten."""
-    return (raw_dim - conv_dim) * tokens

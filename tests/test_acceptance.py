@@ -34,15 +34,7 @@ from ihvit.train import (
     save_arm,
     train,
 )
-from ihvit.vit import (
-    ChannelSpec,
-    ViTBranch,
-    ViTConfig,
-    compression_ratio,
-    element_saving,
-    format_ratio_percent,
-    patchify,
-)
+from ihvit.vit import ChannelSpec, ViTBranch, ViTConfig, patchify
 
 from test_autodiff import OP_SUITE, _run_instances
 
@@ -57,10 +49,10 @@ def verdict(n, name, ok, detail=""):
 
 
 def test_criterion_1_shape_ledger():
-    img = Tensor(np.random.default_rng(0).random((3, 224, 224)).astype(np.float32))
-    p16 = patchify(img, 16)
-    p32 = patchify(img, 32)
-    ok = p16.shape[0] == 196 and p32.shape[0] == 49
+    imgs = Tensor(np.random.default_rng(0).random((2, 3, 224, 224)).astype(np.float32))
+    p16 = patchify(imgs, 16)
+    p32 = patchify(imgs, 32)
+    ok = p16.shape == (2, 196, 3, 16, 16) and p32.shape == (2, 49, 3, 32, 32)
 
     spec16 = ChannelSpec(16, "convblock")
     spec32 = ChannelSpec(32, "conv_only")
@@ -78,13 +70,16 @@ def test_criterion_1_shape_ledger():
 
 
 def test_criterion_2_compression_arithmetic():
-    ratio = compression_ratio(768, 75)
+    # the widths and token count the model's own 16-px channels embed to
+    conv = ChannelSpec(16, "convblock")
+    flat = ChannelSpec(16, "linear").raw_dim
+    ratio = conv.raw_dim / flat
     ok = ratio == 75 / 768 == 0.09765625
-    ok = ok and format_ratio_percent(ratio) == "9.77%"
-    saving = element_saving(768, 75, 196)
+    ok = ok and f"{ratio:.2%}" == "9.77%"
+    saving = (flat - conv.raw_dim) * conv.token_count()
     ok = ok and saving == (768 - 75) * 196 == 135828
     verdict(2, "compression arithmetic", ok,
-            f"ratio {ratio} ({format_ratio_percent(ratio)}, reference prints 9.76%), "
+            f"ratio {ratio} ({ratio:.2%}, reference prints 9.76%), "
             f"per-image saving {saving} (reference's 13528 is a misprint)")
 
 
@@ -335,13 +330,13 @@ def test_criterion_10_fusion_contracts():
     ok = combined_loss([l1, l2], [1, 1]).item() == 0.7
 
     rng = np.random.default_rng(10)
-    p = rng.dirichlet(np.ones(6))
-    q = rng.dirichlet(np.ones(6))
+    p = rng.dirichlet(np.ones(6), size=4)
+    q = rng.dirichlet(np.ones(6), size=4)
     fused, pred = decision_fuse(p, q, FusionWeights(1.0, 1.0))
-    ok = ok and abs(fused.sum() - 1.0) <= 1e-6
+    ok = ok and np.abs(fused.sum(axis=-1) - 1.0).max() <= 1e-6
     for scale in (0.5, 2.0, 17.0):
         _, pred_s = decision_fuse(p, q, FusionWeights(scale, scale))
-        ok = ok and pred_s == pred
+        ok = ok and np.array_equal(pred_s, pred)
 
     ok = ok and cosine_lr(0, 777, 0.001) == 0.001
     ok = ok and cosine_lr(777, 777, 0.001) == 0.0

@@ -368,7 +368,7 @@ class TestTrainEval:
                    "--out", str(run), "--epochs", "0"])
         assert rc == 2
 
-    @pytest.mark.parametrize("override", [
+    @pytest.mark.parametrize("override, message", [pytest.param(o, "", id=o) for o in (
         "train.epochs=abc", "model.vit.channels=[5]",
         # a field whose default is an int takes no float and no bool
         "train.epochs=1.5", "train.batch_size=2.5", "train.seed=true", "model.vit.depth=1.0",
@@ -381,13 +381,20 @@ class TestTrainEval:
         # a value of another shape than the field's default
         'fusion.a_vit={"x":1}', "model.resnet.stage_blocks=[[1],[1],[1],[1]]",
         'model.vit.channels=[{"patch": 16, "embed": "conv"}]',
-    ])
-    def test_mistyped_config_value_exits_2(self, trained, override, capsys):
+    )] + [pytest.param(o, m, id=o) for o, m in (
+        # a section or channel list of another kind names itself
+        ("model.vit=5", "config section model.vit must be an object"),
+        ("model=5", "config section model must be an object"),
+        ("model.vit.channels=5", "ViTConfig.channels must be a list, got 5"),
+        ('model.vit.channels="ab"', "ViTConfig.channels must be a list, got 'ab'"),
+    )])
+    def test_mistyped_config_value_exits_2(self, trained, override, message, capsys):
         data, run = trained
         rc = main(["train", "--manifest", str(data / "manifest.json"), "--arm", "vit",
                    "--out", str(run), "--set", override])
         assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
 
     def test_object_in_a_scalar_field_exits_2(self, trained, tmp_path, capsys):
         # a field is read in the shape of its default, so an int takes no object
@@ -574,6 +581,9 @@ class TestTrainEval:
         # legacy fields, continued: the layernorm eps and the bottleneck ratio
         (("config", "vit", "eps"), 1e-6, "vit.eps must be 1e-05, got 1e-06"),
         (("config", "resnet"), {"bottleneck": 2}, "resnet.bottleneck must be 4, got 2"),
+        # a section of another kind names itself
+        (("config", "vit"), [1], "section vit must be an object, got [1]"),
+        (("config", "fusion"), 5, "section fusion must be an object, got 5"),
     ])
     def test_eval_on_mistyped_header_exits_3(self, trained, tmp_path, capsys,
                                              keys, value, message):
@@ -628,6 +638,16 @@ class TestVerify:
         lines = [l for l in out.splitlines() if l.startswith("gradcheck/conv2d")]
         assert lines and "FAIL" in lines[0]
 
+    def test_planted_embed_width_bug_detected(self, monkeypatch, capsys):
+        import ihvit.vit as vit_mod
+
+        # the compression figures are read off the widths the model embeds to
+        monkeypatch.setitem(vit_mod.EMBED_PATHS, "convblock", (True, False))
+        assert main(["verify"]) == 1
+        lines = [l for l in capsys.readouterr().out.splitlines()
+                 if l.startswith("numbers/compression")]
+        assert lines and "FAIL" in lines[0]
+
     def test_cli_loads_no_scipy(self):
         # numpy is the only runtime dependency; a fresh interpreter shows it
         src = os.path.dirname(os.path.dirname(ihvit.__file__))
@@ -668,6 +688,13 @@ class TestConfigHandling:
         assert cfg.train.epochs == 9
         cfg2 = load_run_config(p, [])
         assert cfg2.train.epochs == 5
+
+    def test_section_set_whole_keeps_what_it_omits(self):
+        # read back like a --config file: omitted fields and sections keep their defaults
+        cfg = load_run_config(None, ['model={"vit": {"depth": 2}}'])
+        assert cfg.vit.depth == 2 and cfg.vit.dim == 75 and cfg.resnet == ResNetConfig()
+        with pytest.raises(ConfigError, match="unknown config key 'model.vit.depthh'"):
+            load_run_config(None, ['model.vit={"depthh": 2}'])
 
     def test_seed_flag_flows_to_synth_and_train(self, tmp_path):
         cfg = load_run_config(None, [], seed=42)
@@ -757,9 +784,13 @@ EVAL = ["eval", "--checkpoint", "doc", "--manifest", "doc"]
      {}, 2),
     ({}, GEN + ["--set", 'synth.counts={"normal": 1, "%s": 1}' % LONG], {}, 2),
     ({}, GEN + ["--set", f"synth.density={LONG}"], {}, 2),
+    ({}, GEN + ["--set", "model.vit.channels=" + json.dumps([{LONG: 1}])], {}, 2),
+    ({"doc": _checkpoint_with_header(json.dumps(
+        {"config": {"arm": "vit", "vit": {LONG: 1}}, "tensors": []}).encode())}, EVAL, {}, 3),
 ], ids=["ppm-token", "ppm-digits", "manifest-version", "manifest-number", "split-tag",
         "entry-path", "set-spec", "set-path", "set-key", "set-number", "config-key",
-        "tensor-name", "tensor-dtype", "threads", "weights", "class-names", "counts", "density"])
+        "tensor-name", "tensor-dtype", "threads", "weights", "class-names", "counts", "density",
+        "channel-key", "header-key"])
 def test_long_value_is_cut_in_one_error_line(tmp_path, monkeypatch, capsys, files, argv, env,
                                              code):
     # every value echoed from outside is cut to 60 characters

@@ -18,12 +18,13 @@ from ihvit.checkpoint import load_checkpoint, save_checkpoint
 from ihvit.config import load_run_config
 from ihvit.errors import ConfigError, FormatError, InputError
 from ihvit.pipeline import Manifest, ManifestEntry, read_ppm, write_ppm
+from ihvit.tensor import Tensor
 
 
 def _checkpoint(path):
     rng = np.random.default_rng(0)
-    save_checkpoint({"a.w": rng.normal(size=(2, 3)).astype(np.float32),
-                     "b": np.ones(4, dtype=np.float32)}, {"arm": "vit"}, path)
+    save_checkpoint({"a.w": Tensor(rng.normal(size=(2, 3)).astype(np.float32)),
+                     "b": Tensor(np.ones(4, dtype=np.float32))}, {"arm": "vit"}, path)
 
 
 def _ppm(path):

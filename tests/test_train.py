@@ -238,7 +238,7 @@ class TestCheckpoint:
         assert not t.flags.c_contiguous
         params = {"a": np.zeros(0, dtype=np.float32), "b": np.ones(3, dtype=np.float32),
                   "c": np.zeros((2, 0), dtype=np.float32), "d": t}
-        save_checkpoint(params, {}, tmp_path / "m.ckpt")
+        save_checkpoint({k: Tensor(v) for k, v in params.items()}, {}, tmp_path / "m.ckpt")
         loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
         for k, v in params.items():
             assert loaded[k].shape == v.shape and loaded[k].tobytes() == v.tobytes(), k

@@ -281,6 +281,8 @@ def test_every_numeric_field_declares_a_bound(cls):
      "SynthConfig.resolutions must be a list of lists, got [64, 64]"),
     (lambda: SynthConfig(counts=[["normal", 1]]),
      "SynthConfig.counts must be an object, got [['normal', 1]]"),
+    (lambda: SynthConfig(resolutions=[[64]], resolution_weights=[1]),
+     "SynthConfig.resolutions must be a list of [w, h] pairs, got ((64,),)"),
 ])
 def test_value_outside_its_domain_names_field_bound_and_value(make, message):
     with pytest.raises(ConfigError) as exc:

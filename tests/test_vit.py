@@ -11,10 +11,7 @@ from ihvit.vit import (
     ChannelSpec,
     ViTBranch,
     ViTConfig,
-    compression_ratio,
     conv_embed,
-    element_saving,
-    format_ratio_percent,
     multi_head_attention,
     patchify,
     _encode,
@@ -25,32 +22,38 @@ TINY = ViTConfig(depth=1, heads=1, dim=15, mlp_hidden=30, classes=3)
 
 class TestPatchify:
     def test_token_counts(self):
-        img = Tensor(np.zeros((3, 224, 224), dtype=np.float32))
-        assert patchify(img, 16).shape == (196, 3, 16, 16)
-        assert patchify(img, 32).shape == (49, 3, 32, 32)
+        imgs = Tensor(np.zeros((2, 3, 224, 224), dtype=np.float32))
+        assert patchify(imgs, 16).shape == (2, 196, 3, 16, 16)
+        assert patchify(imgs, 32).shape == (2, 49, 3, 32, 32)
 
     def test_degenerate_single_patch(self):
         rng = np.random.default_rng(0)
-        img = Tensor(rng.random((3, 224, 224)).astype(np.float32))
-        p = patchify(img, 224)
-        assert p.shape == (1, 3, 224, 224)
-        assert np.array_equal(p.data[0], img.data)
+        imgs = Tensor(rng.random((1, 3, 224, 224)).astype(np.float32))
+        p = patchify(imgs, 224)
+        assert p.shape == (1, 1, 3, 224, 224)
+        assert np.array_equal(p.data[0, 0], imgs.data[0])
 
     def test_roundtrip_against_index_oracle(self):
         rng = np.random.default_rng(1)
-        img = Tensor(rng.random((3, 64, 64)).astype(np.float32))
-        patches = patchify(img, 16)
+        imgs = Tensor(rng.random((2, 3, 64, 64)).astype(np.float32))
+        patches = patchify(imgs, 16)
         # brute-force index oracle: patch k holds rows/cols of tile (k//4, k%4),
         # so all 16 patches together cover every pixel exactly once
-        for k in range(16):
-            r, c = divmod(k, 4)
-            want = img.data[:, 16 * r:16 * (r + 1), 16 * c:16 * (c + 1)]
-            assert np.array_equal(patches.data[k], want)
+        for n in range(2):
+            for k in range(16):
+                r, c = divmod(k, 4)
+                want = imgs.data[n, :, 16 * r:16 * (r + 1), 16 * c:16 * (c + 1)]
+                assert np.array_equal(patches.data[n, k], want)
 
     def test_non_divisor_rejected(self):
-        img = Tensor(np.zeros((3, 224, 224), dtype=np.float32))
+        imgs = Tensor(np.zeros((1, 3, 224, 224), dtype=np.float32))
         with pytest.raises(ConfigError):
-            patchify(img, 48)
+            patchify(imgs, 48)
+
+    def test_unbatched_image_rejected(self):
+        img = Tensor(np.zeros((3, 224, 224), dtype=np.float32))
+        with pytest.raises(ShapeError):
+            patchify(img, 16)
 
     def test_batched_tiling(self):
         rng = np.random.default_rng(2)
@@ -249,20 +252,15 @@ class TestViTForward:
 
 
 class TestCompression:
+    # the figures the model's own 16-pixel channels embed to
     def test_ratio_and_percent(self):
-        r = compression_ratio(768, 75)
+        r = ChannelSpec(16, "convblock").raw_dim / ChannelSpec(16, "linear").raw_dim
         assert r == 0.09765625
-        assert format_ratio_percent(r) == "9.77%"  # reference value rounds to 9.76%
-
-    def test_no_compression(self):
-        assert compression_ratio(75, 75) == 1.0
+        assert f"{r:.2%}" == "9.77%"  # reference value rounds to 9.76%
 
     def test_element_saving_per_image(self):
-        assert element_saving(768, 75, 196) == 135828
-
-    def test_positive_dims_required(self):
-        with pytest.raises(ConfigError):
-            compression_ratio(0, 75)
+        conv = ChannelSpec(16, "convblock")
+        assert (ChannelSpec(16, "linear").raw_dim - conv.raw_dim) * conv.token_count() == 135828
 
 
 class TestViTConfig:
