@@ -3,13 +3,14 @@
 The full preset mirrors the standard 50-layer architecture; the desk
 preset is a narrow [1,1,1,1] variant sharing all code paths.  Per-conv
 normalization is a batch-statistics-free per-channel affine (instance
-statistics over spatial dims) so batches of 1 remain valid.
+statistics over spatial dims) so batches of 1 remain valid.  The forward
+pass is the stem, the first layer, then the trunk: max-pool, stages,
+spatial mean and head.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -114,24 +115,20 @@ class ResNetBranch:
         return relu(add(y, sc))
 
     def stem(self, images: Tensor) -> Tensor:
-        """The first layer, conv -> norm -> relu; the max-pool follows it."""
+        """The first layer, [B,3,H,W] -> conv -> norm -> relu; :meth:`trunk` takes it on."""
+        if images.ndim != 4 or images.shape[1] != 3:
+            raise ShapeError(f"resnet forward: expected [B,3,H,W], got {images.shape}")
         x = conv2d(images, self.params["stem.conv.w"], stride=2, pad=3)
         return relu(self._norm(x, "stem.norm"))
 
-    def forward(self, images: Tensor, first=None) -> tuple[Tensor, Tensor]:
-        """[B,3,H,W] -> (logits [B,K], features [B, final width]).
-
-        ``first``, if given, runs the stem: it is called with the stem's
-        zero-argument call and returns its output (``train._run_parts``
-        records the stem onto a tape of its own this way).
-        """
-        if images.ndim != 4 or images.shape[1] != 3:
-            raise ShapeError(f"resnet forward: expected [B,3,H,W], got {images.shape}")
-        stem = partial(self.stem, images)
-        x = maxpool2d(stem() if first is None else first(stem), 3, 2, 1)
+    def trunk(self, x: Tensor) -> Tensor:
+        """The stem's output -> max-pool, stages, spatial mean, head -> logits [B,K]."""
+        x = maxpool2d(x, 3, 2, 1)
         for s, blocks in enumerate(self.config.stage_blocks):
             for b in range(blocks):
                 x = self.bottleneck_forward(x, s, b)
-        feats = mean(x, axis=(2, 3))
-        logits = add(matmul(feats, self.params["head.w"]), self.params["head.b"])
-        return logits, feats
+        return add(matmul(mean(x, axis=(2, 3)), self.params["head.w"]), self.params["head.b"])
+
+    def forward(self, images: Tensor) -> Tensor:
+        """[B,3,H,W] -> logits [B,K]."""
+        return self.trunk(self.stem(images))

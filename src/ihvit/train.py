@@ -66,7 +66,7 @@ class TrainConfig:
     weight_decay: float = bounded(1e-4, min=0)
     batch_size: int = bounded(8, min=1)
     seed: int = bounded(0, min=0)
-    target_accuracy: float | None = bounded(None, min=0)  # optional early stop once reached
+    target_accuracy: float | None = bounded(None, min=0, max=1)  # optional early stop once reached
     min_epochs: int = bounded(1, min=1)
 
     def __post_init__(self):
@@ -181,51 +181,42 @@ class Adam:
 # arms
 
 
-def _logits(branch, images: Tensor, **kw) -> Tensor:
-    return branch.forward(images, **kw)[0]
+def _record(first, rest) -> tuple:
+    """``rest(first())``, ``first`` recorded onto a tape of its own and
+    ``rest`` onto another; returns ((first's tape, its output), (rest's
+    tape, its output))."""
+    with Tape() as first_tape:
+        x = first()
+    with Tape() as tape:
+        return (first_tape, x), (tape, rest(x))
 
 
-def _on_tape(tape: Tape, call):
-    with tape:
-        return call()
-
-
-class _FirstLayer:
-    """A part's first layer on a tape of its own.  Passed as a branch's
-    ``first``, it records the layer onto that tape; :meth:`backward` sweeps
-    it from the gradient the part's tape left on the layer's output."""
-
-    def __call__(self, layer):
-        with Tape() as self.tape:
-            self.out = layer()
-        return self.out
-
-    def backward(self) -> None:
-        out, self.out = self.out, None
-        self.tape.backward(out, out.grad)
+def _sweep(tape: Tape, out: Tensor) -> None:
+    """Carry on through ``tape`` the gradient another tape left on ``out``."""
+    tape.backward(out, out.grad)
 
 
 def _run_parts(arm: "Arm", images: Tensor):
     """The arm's logits from parts that record onto tapes of their own, and
     the call that sweeps those tapes once the logits have their ``.grad``.
 
-    A part is the ResNet branch or one ViT channel; the calls to
-    :func:`run_all` are ``[ch0, ch1, ..., resnet]``, so a worker starts on
-    ch0, the longest, while the caller runs ResNet and then ch1.  Each
-    part's first layer, the ResNet stem up to its max-pool or a channel's
-    embedding, records onto one more tape (see :class:`_FirstLayer`).  It
-    reads only the images, so nothing but the optimizer waits on its
-    sweep: in the backward each is the follow-up of its part's sweep, which
-    whichever thread is free takes once no part's sweep is left to start.
-    The ViT class-token reshape gets a tape of its own, and the head
-    records onto the caller's tape.  As the channels share the class token
-    and the encoder weights, each channel records against stand-ins, which
-    share their arrays; after the sweeps, the stand-ins' gradients are
-    added in the order one tape would add them, so every gradient is the
-    one-tape gradient bit for bit.
+    A part is the ResNet branch, as its stem and trunk, or one ViT channel,
+    as its embedding and encoder pass; :func:`_record` puts the first
+    layer, which reads only the images, and the rest on a tape each.  The
+    calls to :func:`run_all` are ``[ch0, ch1, ..., resnet]``, so a worker
+    starts on ch0, the longest, while the caller runs ResNet and then ch1.
+    Nothing but the optimizer waits on a first layer's sweep, so in the
+    backward each is the follow-up of its part's sweep, which whichever
+    thread is free takes once no part's sweep is left to start.  The ViT
+    class-token reshape gets a tape of its own, and the head records onto
+    the caller's tape.  As the channels share the class token and the
+    encoder weights, each channel records against stand-ins, which share
+    their arrays; after the sweeps, the stand-ins' gradients are added in
+    the order one tape would add them, so every gradient is the one-tape
+    gradient bit for bit.
     """
     vit, resnet = arm.branches.get("vit"), arm.branches.get("resnet")
-    calls = []
+    parts = []
     if vit is not None:
         with Tape() as cls_tape:
             cls_row = T.reshape(vit.params["cls"], (1, 1, vit.config.dim))
@@ -234,20 +225,20 @@ def _run_parts(arm: "Arm", images: Tensor):
         for i in range(len(vit.config.channels)):
             rows.append(Tensor._wrap(cls_row.data, True))
             stand_ins.append({k: Tensor._wrap(p.data, True) for k, p in encoder.items()})
-            calls.append(partial(vit.channel_feature, images, i, rows[i], params=stand_ins[i]))
+            parts.append((partial(vit.embed_channel, images, i),
+                          partial(vit.channel_feature, index=i, cls_row=rows[i],
+                                  params=stand_ins[i])))
     if resnet is not None:
-        calls.append(partial(_logits, resnet, images))
-    tapes = [Tape() for _ in calls]
-    firsts = [_FirstLayer() for _ in calls]
-    outs = run_all([partial(_on_tape, t, partial(c, first=f))
-                    for t, c, f in zip(tapes, calls, firsts)])
+        parts.append((partial(resnet.stem, images), resnet.trunk))
+    recorded = run_all([partial(_record, *part) for part in parts])
+    outs = [out for _, (_, out) in recorded]
     logits = {"resnet": outs[-1]} if resnet is not None else {}
     if vit is not None:
-        logits["vit"] = vit.head(outs[:len(rows)])[0]
+        logits["vit"] = vit.head(outs[:len(rows)])
 
     def backward() -> None:
-        run_all([partial(t.backward, o, o.grad) for t, o in zip(tapes, outs)],
-                then=[f.backward for f in firsts])
+        run_all([partial(_sweep, *rest) for _, rest in recorded],
+                then=[partial(_sweep, *first) for first, _ in recorded])
         if vit is not None:
             # one tape adds the channels' gradients last channel first: (g2 + g1) + g0
             for k, p in encoder.items():
@@ -296,10 +287,10 @@ class Arm:
             sweep.append(backward)
             return logits
         if T._current_tape() is not None:
-            return {k: _logits(b, images) for k, b in branches.items()}
+            return {k: b.forward(images) for k, b in branches.items()}
         chunks = [images[i:i + _FORWARD_CHUNK] for i in range(0, images.shape[0], _FORWARD_CHUNK)]
         order = [k for k in ("vit", "resnet") if k in branches]
-        parts = iter(run_all([partial(_logits, branches[k], x) for k in order for x in chunks]))
+        parts = iter(run_all([partial(branches[k].forward, x) for k in order for x in chunks]))
         logits = {k: T.concat([next(parts) for _ in chunks]) for k in order}
         return {k: logits[k] for k in branches}
 
@@ -336,11 +327,14 @@ def build_arm(name: str, vit_cfg: ViTConfig, resnet_cfg: ResNetConfig,
     if name == "ih-vit" and resnet_cfg.classes != vit_cfg.classes:
         raise ConfigError(f"ih-vit branch classes differ: {resnet_cfg.classes} vs {vit_cfg.classes}")
     branches = {}
-    if name in ("resnet", "ih-vit"):
-        branches["resnet"] = ResNetBranch(resnet_cfg, seed=seed)
-    if name != "resnet":
-        vit_cfg = replace(vit_cfg, channels=_ARM_CHANNELS.get(name, vit_cfg.channels))
-        branches["vit"] = ViTBranch(vit_cfg, seed=seed)
+    try:
+        if name in ("resnet", "ih-vit"):
+            branches["resnet"] = ResNetBranch(resnet_cfg, seed=seed)
+        if name != "resnet":
+            vit_cfg = replace(vit_cfg, channels=_ARM_CHANNELS.get(name, vit_cfg.channels))
+            branches["vit"] = ViTBranch(vit_cfg, seed=seed)
+    except MemoryError:  # numpy refuses a weight array larger than memory
+        raise ConfigError(f"arm {name!r}: the model's weights do not fit in memory") from None
     return Arm(name, branches, fusion or FusionWeights())
 
 

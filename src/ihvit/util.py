@@ -153,14 +153,15 @@ def _build(cls, values, where: str):
 
 
 # what a field may declare of a number: bound -> (symbol, test the number must pass)
-_BOUNDS = {"min": (">=", operator.ge), "above": (">", operator.gt)}
+_BOUNDS = {"min": (">=", operator.ge), "above": (">", operator.gt),
+           "max": ("<=", operator.le)}
 
 
 def bounded(default, **domain):
     """A dataclass field with ``default`` whose value :func:`check_fields`
     reads in the shape of ``default`` and checks against ``domain``: ``min``
-    (inclusive) or ``above`` for numbers, ``among`` (the names allowed) for
-    names."""
+    (inclusive) or ``above``, and ``max`` (inclusive), for numbers, ``among``
+    (the names allowed) for names."""
     if isinstance(default, dict):
         return field(default_factory=partial(dict, default), metadata=domain)
     return field(default=default, metadata=domain)

@@ -273,9 +273,8 @@ def check_shape_resnet50() -> str:
     for s, blocks in enumerate(model.config.stage_blocks):
         for b in range(blocks):
             h = model.bottleneck_forward(h, s, b)
-    logits, feats = model.forward(x)
-    return _require(h.shape[2:] == (7, 7) and feats.shape[1] == 2048,
-                    f"pre-pool map {h.shape[2]}x{h.shape[3]}, feature width {feats.shape[1]}")
+    return _require(h.shape[1:] == (2048, 7, 7),
+                    f"pre-pool map {h.shape[2]}x{h.shape[3]}, feature width {h.shape[1]}")
 
 
 def check_compression() -> str:

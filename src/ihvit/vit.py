@@ -11,7 +11,6 @@ Per-channel class-token outputs are averaged into the branch feature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -229,7 +228,10 @@ class ViTBranch:
         self.params = {k: Tensor(v, dtype=dtype, requires_grad=True) for k, v in p.items()}
 
     def embed_channel(self, images: Tensor, index: int) -> Tensor:
-        """Patchify + embed + unify one channel; [B,3,S,S] -> [B, n, dim]."""
+        """One channel's first layer, patchify + embed + unify; [B,3,S,S] -> [B, n, dim]."""
+        if images.ndim != 4 or images.shape[1:] != (3, IMAGE_SIZE, IMAGE_SIZE):
+            raise ShapeError(f"vit forward: expected [B,3,{IMAGE_SIZE},{IMAGE_SIZE}], "
+                             f"got {images.shape}")
         cfg = self.config
         ch = cfg.channels[index]
         bsz = images.shape[0]
@@ -245,41 +247,30 @@ class ViTBranch:
         unified = matmul(raw, self.params[f"ch{index}.unify"])
         return reshape(unified, (bsz, n, cfg.dim))
 
-    def channel_feature(self, images: Tensor, index: int, cls_row: Tensor, *,
-                        params: dict | None = None, first=None) -> Tensor:
-        """Channel ``index``'s class-token output, [B,3,S,S] -> [B, dim].
+    def channel_feature(self, tokens: Tensor, index: int, cls_row: Tensor,
+                        params: dict | None = None) -> Tensor:
+        """Channel ``index``'s class-token output; its tokens [B, n, dim] -> [B, dim].
 
         ``cls_row`` is the [1, 1, dim] class token, and ``params`` the
         encoder weights, the branch's own unless given: every channel reads
-        both.  ``first``, if given, runs the channel's first layer,
-        :meth:`embed_channel`: it is called with that zero-argument call and
-        returns its output, as in :meth:`ResNetBranch.forward`.
+        both.
         """
         cfg = self.config
-        if images.ndim != 4 or images.shape[1:] != (3, IMAGE_SIZE, IMAGE_SIZE):
-            raise ShapeError(
-                f"vit forward: expected [B,3,{IMAGE_SIZE},{IMAGE_SIZE}], got {images.shape}"
-            )
-        bsz = images.shape[0]
-        embed = partial(self.embed_channel, images, index)
-        tokens = embed() if first is None else first(embed)
-        seq = concat([broadcast_to(cls_row, (bsz, 1, cfg.dim)), tokens], axis=1)
+        seq = concat([broadcast_to(cls_row, (tokens.shape[0], 1, cfg.dim)), tokens], axis=1)
         seq = add(seq, self.params[f"ch{index}.pos"])
         return _encode(seq, self.params if params is None else params, cfg)[:, 0, :]
 
-    def head(self, feats: list[Tensor]) -> tuple[Tensor, Tensor]:
-        """Channel outputs -> (logits [B,K], features [B,dim]), the features
-        being the outputs' mean."""
+    def head(self, feats: list[Tensor]) -> Tensor:
+        """Channel outputs -> logits [B,K] of their mean."""
         out = feats[0]
         for o in feats[1:]:
             out = add(out, o)
         if len(feats) > 1:
             out = scale(out, 1.0 / len(feats))
-        logits = add(matmul(out, self.params["head.w"]), self.params["head.b"])
-        return logits, out
+        return add(matmul(out, self.params["head.w"]), self.params["head.b"])
 
-    def forward(self, images: Tensor) -> tuple[Tensor, Tensor]:
-        """[B,3,S,S] -> (logits [B,K], features [B,dim])."""
+    def forward(self, images: Tensor) -> Tensor:
+        """[B,3,S,S] -> logits [B,K]."""
         cls_row = reshape(self.params["cls"], (1, 1, self.config.dim))
-        return self.head([self.channel_feature(images, i, cls_row)
+        return self.head([self.channel_feature(self.embed_channel(images, i), i, cls_row)
                           for i in range(len(self.config.channels))])

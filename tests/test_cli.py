@@ -387,6 +387,8 @@ class TestTrainEval:
         ("model=5", "config section model must be an object"),
         ("model.vit.channels=5", "ViTConfig.channels must be a list, got 5"),
         ('model.vit.channels="ab"', "ViTConfig.channels must be a list, got 'ab'"),
+        # 2**40 wide: numpy refuses the weights at once
+        ("model.vit.mlp_hidden=1099511627776", "arm 'vit': the model's weights do not fit"),
     )])
     def test_mistyped_config_value_exits_2(self, trained, override, message, capsys):
         data, run = trained
@@ -394,7 +396,7 @@ class TestTrainEval:
                    "--out", str(run), "--set", override])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "error:" in err and message in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
     def test_object_in_a_scalar_field_exits_2(self, trained, tmp_path, capsys):
         # a field is read in the shape of its default, so an int takes no object
@@ -584,6 +586,9 @@ class TestTrainEval:
         # a section of another kind names itself
         (("config", "vit"), [1], "section vit must be an object, got [1]"),
         (("config", "fusion"), 5, "section fusion must be an object, got 5"),
+        # 2**40 wide: numpy refuses the weights at once
+        (("config", "vit", "mlp_hidden"), 2 ** 40,
+         "arm 'vit-conv': the model's weights do not fit"),
     ])
     def test_eval_on_mistyped_header_exits_3(self, trained, tmp_path, capsys,
                                              keys, value, message):
@@ -599,7 +604,8 @@ class TestTrainEval:
         bad = with_header(run, tmp_path, header)
         assert main(["eval", "--checkpoint", str(bad),
                      "--manifest", str(data / "manifest.json")]) == 3
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and err.startswith("error: ") and err.count("\n") == 1
 
     def test_eval_on_legacy_header_reproduces_training_accuracy(self, trained, tmp_path, capsys):
         # headers written before the fixed input size, the always-on norm and

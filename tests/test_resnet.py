@@ -6,7 +6,9 @@ import pytest
 from ihvit import tensor as T
 from ihvit.errors import ConfigError
 from ihvit.resnet import ResNetBranch, ResNetConfig
-from ihvit.tensor import Tensor, cross_entropy, grad_check
+from ihvit.tensor import ShapeError, Tensor, cross_entropy, grad_check
+from ihvit.train import _forward_backward, build_arm
+from ihvit.vit import ViTConfig
 
 DESK = ResNetConfig.desk(classes=3)
 
@@ -55,22 +57,22 @@ class TestForward:
             for b in range(blocks):
                 h = model.bottleneck_forward(h, s, b)
             sizes.append(h.shape[2])
-        assert sizes == [56, 28, 14, 7]
-        logits, feats = model.forward(x)
-        assert logits.shape == (1, 4) and feats.shape == (1, 2048)
+        assert sizes == [56, 28, 14, 7] and h.shape[1] == 2048
+        assert model.forward(x).shape == (1, 4)
 
     def test_desk_feature_width(self):
+        # the head reads the last stage's 256 channels
         model = ResNetBranch(DESK, seed=0)
         x = Tensor(np.random.default_rng(6).normal(size=(2, 3, 224, 224)).astype(np.float32))
-        logits, feats = model.forward(x)
-        assert logits.shape == (2, 3) and feats.shape == (2, 256)
+        assert model.params["head.w"].shape == (256, 3)
+        assert model.forward(x).shape == (2, 3)
 
     def test_zero_head_uniform_softmax(self):
         model = ResNetBranch(DESK, seed=0)
         model.params["head.w"].data[:] = 0
         model.params["head.b"].data[:] = 0
         x = Tensor(np.random.default_rng(7).normal(size=(1, 3, 224, 224)).astype(np.float32))
-        logits, _ = model.forward(x)
+        logits = model.forward(x)
         assert np.allclose(T.softmax(logits, -1).data, 1 / 3, atol=1e-7)
 
     def test_desk_network_gradcheck_f64(self):
@@ -78,8 +80,7 @@ class TestForward:
         img = Tensor(np.random.default_rng(8).uniform(0, 1, (1, 3, 224, 224)), dtype="f64")
 
         def f(_):
-            logits, _f = model.forward(img)
-            return cross_entropy(logits, [2])
+            return cross_entropy(model.forward(img), [2])
 
         assert grad_check(f, model.params["head.b"], h=1e-5) <= 1e-5
         assert grad_check(f, model.params["stem.norm.g"], h=1e-7) <= 1e-5
@@ -89,10 +90,19 @@ class TestForward:
         img = Tensor(np.random.default_rng(8).uniform(0, 1, (1, 3, 224, 224)).astype(np.float32))
 
         def f(_):
-            logits, _f = model.forward(img)
-            return cross_entropy(logits, [2])
+            return cross_entropy(model.forward(img), [2])
 
         assert grad_check(f, model.params["head.b"], h=0.05) <= 1e-3
+
+    @pytest.mark.parametrize("run", [
+        lambda x: ResNetBranch(DESK, seed=0).forward(x),
+        # the train step, whose parts call the stem directly
+        lambda x: _forward_backward(build_arm("resnet", ViTConfig(classes=3), DESK),
+                                    x, np.array([0]), [1.0]),
+    ], ids=["forward", "train-step"])
+    def test_wrong_input_shape_rejected(self, run):
+        with pytest.raises(ShapeError, match=r"resnet forward: expected \[B,3,H,W\]"):
+            run(Tensor(np.zeros((1, 1, 224, 224), dtype=np.float32)))
 
 
 class TestParameterCount:

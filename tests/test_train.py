@@ -450,7 +450,7 @@ class TestTrain:
             # across chunkings only the summation order differs, which BLAS decides
             logits = arm.branch_logits(x)
             for name, branch in arm.branches.items():
-                whole = branch.forward(x)[0].data
+                whole = branch.forward(x).data
                 assert logits[name].shape == whole.shape == (n, 6)
                 np.testing.assert_allclose(logits[name].data, whole, rtol=0, atol=1e-6)
 

@@ -244,7 +244,7 @@ def test_every_numeric_field_declares_a_bound(cls):
     # and every name field the names it takes
     for f in fields(cls):
         if re.search(r"\b(int|float)\b", f.type):  # the annotation, a string
-            assert f.metadata and set(f.metadata) <= {"min", "above"}, f.name
+            assert f.metadata and set(f.metadata) <= {"min", "above", "max"}, f.name
         elif re.search(r"\bstr\b", f.type):
             assert set(f.metadata) == {"among"}, f.name
         else:
@@ -257,6 +257,9 @@ def test_every_numeric_field_declares_a_bound(cls):
     (lambda: TrainConfig(lr0="abc"), "TrainConfig.lr0 must be a number, got 'abc'"),
     (lambda: TrainConfig(weight_decay=True), "TrainConfig.weight_decay must be a number"),
     (lambda: TrainConfig(target_accuracy=-0.5), "TrainConfig.target_accuracy must be >= 0"),
+    # an accuracy is a fraction, so a percentage would never stop training
+    (lambda: TrainConfig(target_accuracy=90),
+     "TrainConfig.target_accuracy must be >= 0 and <= 1, got 90"),
     (lambda: TrainConfig(seed=1.0), "TrainConfig.seed must be an integer, got 1.0"),
     (lambda: FusionWeights(0.0, 1.0), "FusionWeights.a_resnet must be > 0, got 0.0"),
     (lambda: ResNetConfig(stage_blocks=(1, 1), stage_widths=(0, 32)),

@@ -5,7 +5,9 @@ import pytest
 
 from ihvit import tensor as T
 from ihvit.errors import ConfigError
+from ihvit.resnet import ResNetConfig
 from ihvit.tensor import ShapeError, Tape, Tensor, cross_entropy, grad_check
+from ihvit.train import _forward_backward, build_arm
 from ihvit.verify import attention_oracle
 from ihvit.vit import (
     ChannelSpec,
@@ -160,16 +162,15 @@ class TestViTForward:
     def test_dual_channel_shapes(self):
         model = ViTBranch(TINY, seed=0)
         img = Tensor(np.random.default_rng(0).random((1, 3, 224, 224)).astype(np.float32))
-        logits, feats = model.forward(img)
+        logits = model.forward(img)
         assert logits.shape == (1, 3)
-        assert feats.shape == (1, 15)
 
     def test_zero_head_gives_uniform_softmax(self):
         model = ViTBranch(TINY, seed=0)
         model.params["head.w"].data[:] = 0
         model.params["head.b"].data[:] = 0
         img = Tensor(np.random.default_rng(1).random((1, 3, 224, 224)).astype(np.float32))
-        logits, _ = model.forward(img)
+        logits = model.forward(img)
         probs = T.softmax(logits, axis=-1).data
         assert np.allclose(probs, 1 / 3, atol=1e-7)
 
@@ -178,8 +179,8 @@ class TestViTForward:
                         channels=(ChannelSpec(16, "convblock"),))
         model = ViTBranch(cfg, seed=0)
         img = Tensor(np.random.default_rng(2).random((1, 3, 224, 224)).astype(np.float32))
-        logits, feats = model.forward(img)
-        assert logits.shape == (1, 3) and feats.shape == (1, 15)
+        logits = model.forward(img)
+        assert logits.shape == (1, 3)
 
     def test_encoder_parameters_shared_across_channels(self):
         model = ViTBranch(TINY, seed=0)
@@ -187,7 +188,7 @@ class TestViTForward:
         assert enc_names and not any("ch0" in k or "ch1" in k for k in enc_names)
         img = Tensor(np.random.default_rng(3).random((1, 3, 224, 224)).astype(np.float32))
         with Tape() as tape:
-            logits, _ = model.forward(img)
+            logits = model.forward(img)
             loss = cross_entropy(logits, [0])
         tape.backward(loss)
         dual_grad = model.params["enc0.attn.wq"].grad.copy()
@@ -196,7 +197,7 @@ class TestViTForward:
         solo.config = ViTConfig(depth=1, heads=1, dim=15, mlp_hidden=30, classes=3,
                                 channels=(TINY.channels[0],))
         with Tape() as tape2:
-            logits2, _ = solo.forward(img)
+            logits2 = solo.forward(img)
             loss2 = cross_entropy(logits2, [0])
         tape2.backward(loss2)
         solo_grad = solo.params["enc0.attn.wq"].grad
@@ -228,8 +229,7 @@ class TestViTForward:
         img = Tensor(np.random.default_rng(5).uniform(0, 1, (1, 3, 224, 224)), dtype="f64")
 
         def f(_):
-            logits, _f = model.forward(img)
-            return cross_entropy(logits, [1])
+            return cross_entropy(model.forward(img), [1])
 
         assert grad_check(f, model.params["head.b"], h=1e-5) <= 1e-5
         assert grad_check(f, model.params["cls"], h=1e-5) <= 1e-5
@@ -240,15 +240,19 @@ class TestViTForward:
         img = Tensor(np.random.default_rng(5).uniform(0, 1, (1, 3, 224, 224)).astype(np.float32))
 
         def f(_):
-            logits, _f = model.forward(img)
-            return cross_entropy(logits, [1])
+            return cross_entropy(model.forward(img), [1])
 
         assert grad_check(f, model.params["head.b"], h=0.05) <= 1e-3
 
-    def test_wrong_input_shape_rejected(self):
-        model = ViTBranch(TINY, seed=0)
-        with pytest.raises(ShapeError):
-            model.forward(Tensor(np.zeros((1, 3, 64, 64), dtype=np.float32)))
+    @pytest.mark.parametrize("run", [
+        lambda x: ViTBranch(TINY, seed=0).forward(x),
+        # the train step, whose parts call the first layer directly
+        lambda x: _forward_backward(build_arm("vit", TINY, ResNetConfig.desk(classes=3)),
+                                    x, np.array([0]), [1.0]),
+    ], ids=["forward", "train-step"])
+    def test_wrong_input_shape_rejected(self, run):
+        with pytest.raises(ShapeError, match=r"vit forward: expected \[B,3,224,224\]"):
+            run(Tensor(np.zeros((1, 3, 64, 64), dtype=np.float32)))
 
 
 class TestCompression:
