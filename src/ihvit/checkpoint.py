@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -28,7 +28,7 @@ FORMAT_VERSION = 1
 
 def save_checkpoint(params: dict[str, Tensor], config: dict, path) -> None:
     entries = []
-    blobs = []
+    arrays = []
     offset = 0
     for name in sorted(params):
         arr = params[name].data
@@ -42,66 +42,67 @@ def save_checkpoint(params: dict[str, Tensor], config: dict, path) -> None:
             "dtype": "f32",
             "offset": offset,
         })
-        blob = arr.astype("<f4", copy=False).tobytes()
-        blobs.append(blob)
-        offset += len(blob)
+        # the file takes the array's buffer as it is, without a bytes copy
+        arrays.append(np.ascontiguousarray(arr, dtype="<f4"))
+        offset += arr.nbytes
     header = json.dumps({"config": config, "tensors": entries}, sort_keys=True).encode("utf-8")
     write_atomic(path, [MAGIC, struct.pack("<I", FORMAT_VERSION),
-                        struct.pack("<Q", len(header)), header, *blobs])
+                        struct.pack("<Q", len(header)), header, *arrays])
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    data = Path(path).read_bytes()
-    if data[:4] != MAGIC:
-        raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {MAGIC!r}", offset=0)
-    if len(data) < 16:
-        raise FormatError(f"{path}: truncated preamble ({len(data)} bytes)", offset=len(data))
-    (version,) = struct.unpack("<I", data[4:8])
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported format version {version}", offset=4)
-    (hlen,) = struct.unpack("<Q", data[8:16])
-    if len(data) < 16 + hlen:
-        raise FormatError(f"{path}: truncated header ({len(data) - 16} of {hlen} bytes)", offset=16)
-    header = read_json_object(data[16:16 + hlen], f"{path}: header", FormatError, offset=16)
-    entries = header.get("tensors")
-    if not isinstance(entries, list):
-        raise FormatError(f"{path}: header missing tensor manifest", offset=16)
+    """The file's tensors, each read straight into an f32 array of its own, and its config."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        pre = f.read(16)
+        if pre[:4] != MAGIC:
+            raise FormatError(f"{path}: bad magic {pre[:4]!r}, expected {MAGIC!r}", offset=0)
+        if size < 16:
+            raise FormatError(f"{path}: truncated preamble ({size} bytes)", offset=size)
+        (version,) = struct.unpack("<I", pre[4:8])
+        if version != FORMAT_VERSION:
+            raise FormatError(f"{path}: unsupported format version {version}", offset=4)
+        (hlen,) = struct.unpack("<Q", pre[8:16])
+        if size < 16 + hlen:
+            raise FormatError(f"{path}: truncated header ({size - 16} of {hlen} bytes)", offset=16)
+        header = read_json_object(f.read(hlen), f"{path}: header", FormatError, offset=16)
+        entries = header.get("tensors")
+        if not isinstance(entries, list):
+            raise FormatError(f"{path}: header missing tensor manifest", offset=16)
 
-    expected = 0
-    sizes = []
-    names = set()
-    for e in entries:
-        _check_entry(path, e)
-        if e["name"] in names:
-            raise FormatError(f"{path}: tensor {e['name']!r:.60} is listed twice", offset=16)
-        names.add(e["name"])
-        if e.get("dtype") != "f32":
-            raise FormatError(f"{path}: tensor {e['name']!r:.60} has dtype "
-                              f"{e.get('dtype')!r:.60}; the payload is f32-only", offset=16)
-        if e["offset"] != expected:
+        expected = 0
+        names = set()
+        for e in entries:
+            _check_entry(path, e)
+            if e["name"] in names:
+                raise FormatError(f"{path}: tensor {e['name']!r:.60} is listed twice", offset=16)
+            names.add(e["name"])
+            if e.get("dtype") != "f32":
+                raise FormatError(f"{path}: tensor {e['name']!r:.60} has dtype "
+                                  f"{e.get('dtype')!r:.60}; the payload is f32-only", offset=16)
+            if e["offset"] != expected:
+                raise FormatError(f"{path}: tensor {e['name']!r:.60} at offset {e['offset']}, "
+                                  f"expected {expected}", offset=16 + hlen + expected)
+            # Python ints: an int64 product wraps for a large enough shape
+            expected += 4 * math.prod(e["shape"])
+
+        payload = size - 16 - hlen
+        if payload != expected:
             raise FormatError(
-                f"{path}: tensor {e['name']!r:.60} at offset {e['offset']}, expected {expected}",
-                offset=16 + hlen + expected,
+                f"{path}: payload is {payload} bytes, expected {expected}",
+                offset=16 + hlen + min(payload, expected),
             )
-        # Python ints: an int64 product wraps for a large enough shape
-        sizes.append(4 * math.prod(e["shape"]))
-        expected += sizes[-1]
-
-    payload = data[16 + hlen:]
-    if len(payload) != expected:
-        raise FormatError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected}",
-            offset=16 + hlen + min(len(payload), expected),
-        )
-    finite = np.isfinite(np.frombuffer(payload, dtype="<f4"))
-    if not finite.all():
-        at = 4 * int(np.argmin(finite))
-        name = [e["name"] for e in entries if e["offset"] <= at][-1]
-        raise FormatError(f"{path}: tensor {name!r:.60} holds NaN or Inf", offset=16 + hlen + at)
-    params: dict[str, np.ndarray] = {}
-    for e, size in zip(entries, sizes):
-        raw = payload[e["offset"]:e["offset"] + size]
-        params[e["name"]] = np.frombuffer(raw, dtype="<f4").reshape(e["shape"]).copy()
+        params: dict[str, np.ndarray] = {}
+        for e in entries:
+            arr = params[e["name"]] = np.empty(e["shape"], dtype="<f4")
+            if f.readinto(arr) != arr.nbytes:
+                raise FormatError(f"{path}: payload ends inside tensor {e['name']!r:.60}",
+                                  offset=16 + hlen + e["offset"])
+            finite = np.isfinite(arr)
+            if not finite.all():
+                at = e["offset"] + 4 * int(np.argmin(finite))
+                raise FormatError(f"{path}: tensor {e['name']!r:.60} holds NaN or Inf",
+                                  offset=16 + hlen + at)
     return params, header.get("config", {})
 
 

@@ -1,6 +1,7 @@
 """Command-line front door: gen, augment, split, train, eval, ablate, verify.
 
-Exit codes: 0 success, 1 check failure, 2 config/usage error, 3 I/O error.
+Exit codes: 0 success, 1 check failure, 2 config/usage error, 3 I/O or
+format error (a malformed image, manifest or checkpoint).
 """
 
 from __future__ import annotations

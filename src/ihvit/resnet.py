@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError
 from .tensor import (
     Tensor,
@@ -27,7 +25,7 @@ from .tensor import (
     relu,
 )
 from .util import bounded, check_fields
-from .vit import kaiming_uniform, trunc_normal
+from .vit import Branch
 
 # a bottleneck block's inner width is its output width over this
 BOTTLENECK = 4
@@ -67,34 +65,34 @@ def _stride(stage: int, block: int) -> int:
     return 2 if (block == 0 and stage > 0) else 1
 
 
-class ResNetBranch:
-    def __init__(self, config: ResNetConfig, seed: int = 0, dtype: str = "f32"):
-        self.config = config
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 11)))
-        p: dict[str, np.ndarray] = {
-            "stem.conv.w": kaiming_uniform(rng, (config.stem_width, 3, 7, 7)),
-            "stem.norm.g": np.ones(config.stem_width),
-            "stem.norm.b": np.zeros(config.stem_width),
-        }
+class ResNetBranch(Branch):
+    SEED_WORD = 11
+
+    @staticmethod
+    def layout(config: ResNetConfig) -> dict[str, tuple[tuple[int, ...], str]]:
+        def norm(prefix, c):
+            p[f"{prefix}.g"] = ((c,), "ones")
+            p[f"{prefix}.b"] = ((c,), "zeros")
+
+        p = {"stem.conv.w": ((config.stem_width, 3, 7, 7), "uniform")}
+        norm("stem.norm", config.stem_width)
         cin = config.stem_width
         for s, (blocks, width) in enumerate(zip(config.stage_blocks, config.stage_widths)):
             mid = width // BOTTLENECK
             for b in range(blocks):
                 pre = f"s{s}.b{b}"
-                p[f"{pre}.conv1.w"] = kaiming_uniform(rng, (mid, cin, 1, 1))
-                p[f"{pre}.conv2.w"] = kaiming_uniform(rng, (mid, mid, 3, 3))
-                p[f"{pre}.conv3.w"] = kaiming_uniform(rng, (width, mid, 1, 1))
+                p[f"{pre}.conv1.w"] = ((mid, cin, 1, 1), "uniform")
+                p[f"{pre}.conv2.w"] = ((mid, mid, 3, 3), "uniform")
+                p[f"{pre}.conv3.w"] = ((width, mid, 1, 1), "uniform")
                 for i, c in ((1, mid), (2, mid), (3, width)):
-                    p[f"{pre}.norm{i}.g"] = np.ones(c)
-                    p[f"{pre}.norm{i}.b"] = np.zeros(c)
+                    norm(f"{pre}.norm{i}", c)
                 if _stride(s, b) != 1 or cin != width:
-                    p[f"{pre}.down.w"] = kaiming_uniform(rng, (width, cin, 1, 1))
-                    p[f"{pre}.down.norm.g"] = np.ones(width)
-                    p[f"{pre}.down.norm.b"] = np.zeros(width)
+                    p[f"{pre}.down.w"] = ((width, cin, 1, 1), "uniform")
+                    norm(f"{pre}.down.norm", width)
                 cin = width
-        p["head.w"] = trunc_normal(rng, (config.feature_width, config.classes))
-        p["head.b"] = np.zeros(config.classes)
-        self.params = {k: Tensor(v, dtype=dtype, requires_grad=True) for k, v in p.items()}
+        p["head.w"] = ((config.feature_width, config.classes), "normal")
+        p["head.b"] = ((config.classes,), "zeros")
+        return p
 
     def _norm(self, x: Tensor, prefix: str) -> Tensor:
         return instance_norm2d(x, self.params[f"{prefix}.g"], self.params[f"{prefix}.b"])

@@ -71,6 +71,9 @@ class TrainConfig:
 
     def __post_init__(self):
         check_fields(self)
+        if self.lr_min > self.lr0:  # equal values give a constant rate
+            raise ConfigError(f"TrainConfig.lr_min ({self.lr_min}) must not exceed "
+                              f"TrainConfig.lr0 ({self.lr0})")
 
 
 # ---------------------------------------------------------------------------
@@ -320,19 +323,29 @@ _ARM_CHANNELS = {
 }
 
 
-def build_arm(name: str, vit_cfg: ViTConfig, resnet_cfg: ResNetConfig,
-              fusion: FusionWeights | None = None, seed: int = 0) -> Arm:
+_BRANCHES = {"resnet": ResNetBranch, "vit": ViTBranch}
+
+
+def _branch_configs(name: str, vit_cfg: ViTConfig,
+                    resnet_cfg: ResNetConfig) -> dict[str, ViTConfig | ResNetConfig]:
+    """The config of each branch of arm ``name``, in ``Arm.branches`` order."""
     if name not in ARM_ORDER:
         raise ConfigError(f"unknown arm {name!r}; expected one of {ARM_ORDER}")
     if name == "ih-vit" and resnet_cfg.classes != vit_cfg.classes:
         raise ConfigError(f"ih-vit branch classes differ: {resnet_cfg.classes} vs {vit_cfg.classes}")
-    branches = {}
+    configs = {}
+    if name in ("resnet", "ih-vit"):
+        configs["resnet"] = resnet_cfg
+    if name != "resnet":
+        configs["vit"] = replace(vit_cfg, channels=_ARM_CHANNELS.get(name, vit_cfg.channels))
+    return configs
+
+
+def build_arm(name: str, vit_cfg: ViTConfig, resnet_cfg: ResNetConfig,
+              fusion: FusionWeights | None = None, seed: int = 0) -> Arm:
+    configs = _branch_configs(name, vit_cfg, resnet_cfg)
     try:
-        if name in ("resnet", "ih-vit"):
-            branches["resnet"] = ResNetBranch(resnet_cfg, seed=seed)
-        if name != "resnet":
-            vit_cfg = replace(vit_cfg, channels=_ARM_CHANNELS.get(name, vit_cfg.channels))
-            branches["vit"] = ViTBranch(vit_cfg, seed=seed)
+        branches = {k: _BRANCHES[k](c, seed=seed) for k, c in configs.items()}
     except MemoryError:  # numpy refuses a weight array larger than memory
         raise ConfigError(f"arm {name!r}: the model's weights do not fit in memory") from None
     return Arm(name, branches, fusion or FusionWeights())
@@ -364,20 +377,22 @@ def arm_from_checkpoint(path) -> Arm:
                         raise FormatError(f"{path}: header field {section}.{key} must be "
                                           f"{json.dumps(fixed)}, got {json.dumps(value):.60}")
             model[section] = _build(cls, values, f"section {section}")
-        arm = build_arm(name, model["vit"], model["resnet"], fusion=model["fusion"], seed=0)
+        configs = _branch_configs(name, model["vit"], model["resnet"])
     except (ConfigError, TypeError, ValueError) as e:  # a header value outside its domain
         raise FormatError(f"{path}: invalid model config in header: {e}") from None
     # a header that does not describe the file's tensors is a format fault
-    params = arm.parameters()
-    if set(raw) != set(params):
-        missing = [k[:60] for k in sorted(set(params) ^ set(raw))[:4]]
+    layouts = {k: _BRANCHES[k].layout(c) for k, c in configs.items()}
+    layout = {f"{k}.{n}": shape for k, l in layouts.items() for n, (shape, _) in l.items()}
+    if set(raw) != set(layout):
+        missing = [k[:60] for k in sorted(set(layout) ^ set(raw))[:4]]
         raise FormatError(f"{path}: checkpoint parameters do not match arm layout: {missing}")
-    for k, t in params.items():
-        if tuple(raw[k].shape) != t.shape:
+    for k, shape in layout.items():
+        if raw[k].shape != shape:
             raise FormatError(f"{path}: checkpoint tensor {k!r} has shape {raw[k].shape}, "
-                              f"expected {t.shape}")
-        t.data = raw[k]
-    return arm
+                              f"expected {shape}")
+    branches = {k: _BRANCHES[k].from_arrays(c, {n: raw[f"{k}.{n}"] for n in layouts[k]})
+                for k, c in configs.items()}
+    return Arm(name, branches, model["fusion"])
 
 
 def save_arm(arm: Arm, path) -> None:

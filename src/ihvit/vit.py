@@ -184,10 +184,11 @@ def trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """N(0, 0.02^2), each draw beyond two standard deviations drawn again."""
     std = 0.02
     out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2 * std
-    while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2 * std
+    flat = out.reshape(-1)
+    redo = np.flatnonzero(np.abs(flat) > 2 * std)
+    while redo.size:  # only the entries just drawn again can still be out of range
+        flat[redo] = rng.normal(0.0, std, size=redo.size)
+        redo = redo[np.abs(flat[redo]) > 2 * std]
     return out
 
 
@@ -197,35 +198,63 @@ def kaiming_uniform(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-class ViTBranch:
+class Branch:
+    """A model branch: a config and the parameters its ``layout(config)`` declares.
+
+    The layout maps each parameter's name to ``(shape, init)``, in the order
+    the random init draws them; ``init`` is ``"normal"``
+    (:func:`trunc_normal`), ``"uniform"`` (:func:`kaiming_uniform`),
+    ``"ones"`` or ``"zeros"``.  ``SEED_WORD``, the second word of the
+    init's seed sequence, keeps the branches' draws apart.
+    """
+
+    def __init__(self, config, seed: int = 0, dtype: str = "f32"):
+        self.config = config
+        rng = np.random.default_rng(np.random.SeedSequence((seed, self.SEED_WORD)))
+        start = {"normal": trunc_normal, "uniform": kaiming_uniform,
+                 "ones": lambda _, shape: np.ones(shape), "zeros": lambda _, shape: np.zeros(shape)}
+        self.params = {k: Tensor(start[init](rng, shape), dtype=dtype, requires_grad=True)
+                       for k, (shape, init) in self.layout(config).items()}
+
+    @classmethod
+    def from_arrays(cls, config, arrays: dict[str, np.ndarray]):
+        """The branch whose parameters are ``arrays``: finite f32 values in
+        the declared names, shapes and order.  Nothing is drawn or copied."""
+        branch = cls.__new__(cls)
+        branch.config = config
+        branch.params = {k: Tensor._wrap(a, True) for k, a in arrays.items()}
+        return branch
+
+
+class ViTBranch(Branch):
     """Multi-channel ViT with a single shared encoder and linear head."""
 
-    def __init__(self, config: ViTConfig, seed: int = 0, dtype: str = "f32"):
-        self.config = config
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 10)))
+    SEED_WORD = 10
+
+    @staticmethod
+    def layout(config: ViTConfig) -> dict[str, tuple[tuple[int, ...], str]]:
         d = config.dim
-        p: dict[str, np.ndarray] = {"cls": trunc_normal(rng, (d,))}
+        p = {"cls": ((d,), "normal")}
         for i, ch in enumerate(config.channels):
-            p[f"ch{i}.pos"] = trunc_normal(rng, (ch.token_count() + 1, d))
+            p[f"ch{i}.pos"] = ((ch.token_count() + 1, d), "normal")
             if EMBED_PATHS[ch.embed][0]:  # a conv path
-                p[f"ch{i}.conv.w"] = kaiming_uniform(rng, (3, 3, _CONV[0], _CONV[0]))
-                p[f"ch{i}.conv.b"] = np.zeros(3)
-            p[f"ch{i}.unify"] = trunc_normal(rng, (ch.raw_dim, d))
+                p[f"ch{i}.conv.w"] = ((3, 3, _CONV[0], _CONV[0]), "uniform")
+                p[f"ch{i}.conv.b"] = ((3,), "zeros")
+            p[f"ch{i}.unify"] = ((ch.raw_dim, d), "normal")
         for l in range(config.depth):
             for name in ("q", "k", "v", "o"):
-                p[f"enc{l}.attn.w{name}"] = trunc_normal(rng, (d, d))
-                p[f"enc{l}.attn.b{name}"] = np.zeros(d)
-            p[f"enc{l}.ln1.g"] = np.ones(d)
-            p[f"enc{l}.ln1.b"] = np.zeros(d)
-            p[f"enc{l}.ln2.g"] = np.ones(d)
-            p[f"enc{l}.ln2.b"] = np.zeros(d)
-            p[f"enc{l}.mlp.w1"] = trunc_normal(rng, (d, config.mlp_hidden))
-            p[f"enc{l}.mlp.b1"] = np.zeros(config.mlp_hidden)
-            p[f"enc{l}.mlp.w2"] = trunc_normal(rng, (config.mlp_hidden, d))
-            p[f"enc{l}.mlp.b2"] = np.zeros(d)
-        p["head.w"] = trunc_normal(rng, (d, config.classes))
-        p["head.b"] = np.zeros(config.classes)
-        self.params = {k: Tensor(v, dtype=dtype, requires_grad=True) for k, v in p.items()}
+                p[f"enc{l}.attn.w{name}"] = ((d, d), "normal")
+                p[f"enc{l}.attn.b{name}"] = ((d,), "zeros")
+            for ln in ("ln1", "ln2"):
+                p[f"enc{l}.{ln}.g"] = ((d,), "ones")
+                p[f"enc{l}.{ln}.b"] = ((d,), "zeros")
+            p[f"enc{l}.mlp.w1"] = ((d, config.mlp_hidden), "normal")
+            p[f"enc{l}.mlp.b1"] = ((config.mlp_hidden,), "zeros")
+            p[f"enc{l}.mlp.w2"] = ((config.mlp_hidden, d), "normal")
+            p[f"enc{l}.mlp.b2"] = ((d,), "zeros")
+        p["head.w"] = ((d, config.classes), "normal")
+        p["head.b"] = ((config.classes,), "zeros")
+        return p
 
     def embed_channel(self, images: Tensor, index: int) -> Tensor:
         """One channel's first layer, patchify + embed + unify; [B,3,S,S] -> [B, n, dim]."""

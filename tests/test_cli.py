@@ -389,6 +389,8 @@ class TestTrainEval:
         ('model.vit.channels="ab"', "ViTConfig.channels must be a list, got 'ab'"),
         # 2**40 wide: numpy refuses the weights at once
         ("model.vit.mlp_hidden=1099511627776", "arm 'vit': the model's weights do not fit"),
+        # a cosine decay that would rise
+        ("train.lr_min=0.1", "TrainConfig.lr_min (0.1) must not exceed TrainConfig.lr0 (0.001)"),
     )])
     def test_mistyped_config_value_exits_2(self, trained, override, message, capsys):
         data, run = trained
@@ -586,9 +588,10 @@ class TestTrainEval:
         # a section of another kind names itself
         (("config", "vit"), [1], "section vit must be an object, got [1]"),
         (("config", "fusion"), 5, "section fusion must be an object, got 5"),
-        # 2**40 wide: numpy refuses the weights at once
+        # 2**40 wide: the declared layout refuses the file's tensors, and no
+        # weight is allocated
         (("config", "vit", "mlp_hidden"), 2 ** 40,
-         "arm 'vit-conv': the model's weights do not fit"),
+         "checkpoint tensor 'vit.enc0.mlp.w1' has shape (15, 30), expected (15, 1099511627776)"),
     ])
     def test_eval_on_mistyped_header_exits_3(self, trained, tmp_path, capsys,
                                              keys, value, message):

@@ -1,4 +1,5 @@
-"""Golden bytes of the prep path: gen_sample, augment_all and load_split.
+"""Golden bytes of the prep path (gen_sample, augment_all and load_split)
+and of the initial weights (build_arm).
 
 The digests were taken from the whole-frame implementation (noise drawn in
 one call, the scale variants cropped from the whole enlarged frame, entries
@@ -6,6 +7,9 @@ loaded on one thread).  They pin that the blocked and threaded code makes
 the same bytes for every thread count.  The last four frames were taken
 while a class name could still carry a '#<variant>' suffix; with the first
 two they pin the bytes of every defect kind and of a chip in a corner.
+The weight digests were taken while each branch drew its weights in its
+constructor and ``trunc_normal`` re-tested the whole array after every
+redraw; they pin the draw order of the declared layouts.
 """
 
 import hashlib
@@ -15,7 +19,9 @@ import pytest
 
 from ihvit import synth
 from ihvit.pipeline import augment_all, balance_and_split
-from ihvit.train import load_split
+from ihvit.resnet import ResNetConfig
+from ihvit.train import build_arm, load_split
+from ihvit.vit import ViTConfig
 
 # (class, density, (w, h), seed) -> digest of the frame, digest of its 14
 # variants (augment seed 3); 1702 rows is a 2.2 MP frame, 70 rows is not a
@@ -43,6 +49,16 @@ FRAMES = {
 }
 # images and labels of the train split, then of the test split
 SPLIT = "25154eb4279ca6cfb17151ea951f40528b4e48d187c3c8d74f1ac84c94d4b87d"
+# (arm, seed) -> digest of the names, shapes and bytes of build_arm's
+# parameters at the default ViT config and the desk ResNet
+ARMS = {
+    ("ih-vit", 0): "b246c26718352a020ebf2c74ea7d8b04b787f1e6f85e9e6b6702c82341acbf04",
+    ("ih-vit", 7): "24fd466c167115d90270be80308c7cfc55e6a208c04ed0dbd63f3934516fc4cf",
+    ("resnet", 0): "f5e67eade9fa3d03c4810b04df7167a1f8d8bd78b67ee55118baa63f2d5a5867",
+    ("vit", 0): "4366f11de13a2d579045330a2ef61799081fc0549449e549fbcd1275fda4c2bd",
+    ("vit-conv", 0): "f2dd77976bbf95c76cec79419626704e1aa66cfd91b2301c31d4143aa7d7d006",
+    ("vit-2ch", 0): "6e9e64ab5e7bd18e688560f04ca348e5e69d8dc5768119b74577d6384317348f",
+}
 
 
 def digest(*arrays) -> str:
@@ -71,3 +87,13 @@ def test_load_split(threads, tmp_path):
                             counts={"normal": 4, "scratch": 4})
     m = balance_and_split(synth.gen_dataset(cfg, tmp_path))
     assert digest(*load_split(m, tmp_path, "train"), *load_split(m, tmp_path, "test")) == SPLIT
+
+
+@pytest.mark.parametrize("arm, seed", ARMS)
+def test_build_arm_weights(arm, seed):
+    h = hashlib.sha256()
+    for name, t in build_arm(arm, ViTConfig(), ResNetConfig.desk(), seed=seed).parameters().items():
+        h.update(name.encode())
+        h.update(repr(t.shape).encode())
+        h.update(t.data.tobytes())
+    assert h.hexdigest() == ARMS[arm, seed]

@@ -2,16 +2,18 @@
 
 import json
 import math
+import os
 import tracemalloc
 from dataclasses import replace
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ihvit import util
+from ihvit import util, vit
 from ihvit.checkpoint import load_checkpoint, save_checkpoint
 from ihvit.errors import ConfigError, FormatError, InputError
 from ihvit.pipeline import balance_and_split
@@ -250,6 +252,15 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="expected"):
             load_checkpoint(tmp_path / "bad.ckpt")
 
+    def test_file_cut_short_while_read_refused(self, tmp_path, monkeypatch):
+        save_checkpoint(self._params(), {}, tmp_path / "m.ckpt")
+        blob = (tmp_path / "m.ckpt").read_bytes()
+        (tmp_path / "m.ckpt").write_bytes(blob[:-5])
+        with monkeypatch.context() as m:  # the size read before the file was cut
+            m.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=len(blob)))
+            with pytest.raises(FormatError, match="payload ends inside tensor 'vit.head.w'"):
+                load_checkpoint(tmp_path / "m.ckpt")
+
     def test_bad_magic_rejected(self, tmp_path):
         (tmp_path / "bad.ckpt").write_bytes(b"NOPE" + bytes(32))
         with pytest.raises(FormatError, match="magic"):
@@ -278,6 +289,29 @@ class TestCheckpoint:
     def test_f64_params_refused(self, tmp_path):
         with pytest.raises(UsageError, match="f32"):
             save_checkpoint({"w": Tensor(np.zeros(3), dtype="f64")}, {}, tmp_path / "m.ckpt")
+
+    @pytest.mark.parametrize("name, vit_cfg, resnet_cfg", [
+        ("ih-vit", ViTConfig(), ResNetConfig.desk()),
+        ("vit-conv", TINY_VIT, TINY_RESNET),
+    ])
+    def test_load_draws_no_weights(self, tmp_path, monkeypatch, name, vit_cfg, resnet_cfg):
+        arm = build_arm(name, vit_cfg, resnet_cfg, seed=4)
+        save_arm(arm, tmp_path / "arm.ckpt")
+        x = Tensor(np.random.default_rng(0).random((2, 3, 224, 224), dtype=np.float32))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the load drew weights")
+
+        with monkeypatch.context() as m:
+            for module, attr in ((vit, "trunc_normal"), (vit, "kaiming_uniform"),
+                                 (np.random, "default_rng")):
+                m.setattr(module, attr, refuse)
+            restored = arm_from_checkpoint(tmp_path / "arm.ckpt")
+        saved = arm.parameters()
+        assert list(restored.parameters()) == list(saved)
+        for k, t in restored.parameters().items():
+            assert t.data.tobytes() == saved[k].data.tobytes(), k
+        assert restored.predict_probs(x).tobytes() == arm.predict_probs(x).tobytes()
 
 
 class TestArms:

@@ -255,6 +255,8 @@ def test_every_numeric_field_declares_a_bound(cls):
     (lambda: TrainConfig(min_epochs=-3), "TrainConfig.min_epochs must be >= 1, got -3"),
     (lambda: TrainConfig(lr0=float("nan")), "TrainConfig.lr0 must be finite, got nan"),
     (lambda: TrainConfig(lr0="abc"), "TrainConfig.lr0 must be a number, got 'abc'"),
+    (lambda: TrainConfig(lr0=1e-3, lr_min=0.1),
+     "TrainConfig.lr_min (0.1) must not exceed TrainConfig.lr0 (0.001)"),
     (lambda: TrainConfig(weight_decay=True), "TrainConfig.weight_decay must be a number"),
     (lambda: TrainConfig(target_accuracy=-0.5), "TrainConfig.target_accuracy must be >= 0"),
     # an accuracy is a fraction, so a percentage would never stop training
@@ -295,4 +297,5 @@ def test_value_outside_its_domain_names_field_bound_and_value(make, message):
 
 def test_values_inside_their_domains_build():
     TrainConfig(lr_min=0.0, weight_decay=0, target_accuracy=1.0)
+    TrainConfig(lr0=0.01, lr_min=0.01)  # a constant rate
     FusionWeights(1, 0.5)
